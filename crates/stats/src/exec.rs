@@ -41,9 +41,8 @@
 //!   determinism test asserts `peak_workers ≤ threads` on a grouped query
 //!   whose groups run Monte-Carlo grids.
 //!
-//! Without the crate's `parallel` feature every primitive runs inline on the
-//! caller (and still counts regions/tasks), so feature-off builds behave
-//! exactly like a one-thread executor.
+//! With a budget of one thread (`UU_THREADS=1`) every primitive runs inline
+//! on the caller and still counts regions/tasks: that is the serial path.
 //!
 //! # Examples
 //!
@@ -69,7 +68,7 @@ pub struct ExecMetrics {
     /// calls), whether they spawned or ran inline.
     pub regions: u64,
     /// Regions that actually spawned workers (the rest ran inline — nested,
-    /// too small, serial build, or no tokens available).
+    /// too small, a one-thread budget, or no tokens available).
     pub parallel_regions: u64,
     /// Individual tasks executed across all regions.
     pub tasks: u64,
@@ -88,13 +87,11 @@ pub struct Executor {
     threads: usize,
     /// Remaining helper tokens; the global budget is `threads - 1` because
     /// the region's caller is always a participant.
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
     tokens: AtomicUsize,
     regions: AtomicU64,
     parallel_regions: AtomicU64,
     tasks: AtomicU64,
     steals: AtomicU64,
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
     active: AtomicUsize,
     peak: AtomicUsize,
 }
@@ -130,13 +127,11 @@ pub fn global() -> &'static Executor {
 
 /// RAII: marks the current thread as an executor worker and tracks the
 /// live-worker high-water mark.
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
 struct WorkerGuard<'a> {
     exec: &'a Executor,
     prev: bool,
 }
 
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
 impl<'a> WorkerGuard<'a> {
     fn enter(exec: &'a Executor) -> Self {
         let prev = IN_WORKER.with(|w| w.replace(true));
@@ -154,7 +149,6 @@ impl Drop for WorkerGuard<'_> {
 }
 
 /// RAII: helper tokens borrowed from the global budget for one region.
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
 struct Tokens<'a> {
     exec: &'a Executor,
     count: usize,
@@ -170,12 +164,10 @@ impl Drop for Tokens<'_> {
 
 /// Per-region work queue: one owned index range per worker, steal-half when a
 /// worker's own range drains.
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
 struct StealQueue {
     ranges: Vec<Mutex<(usize, usize)>>,
 }
 
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
 impl StealQueue {
     /// Splits `0..len` evenly over `workers` ranges (the remainder spread one
     /// index at a time, so no range is ever more than one longer than
@@ -290,7 +282,6 @@ impl Executor {
     }
 
     /// Borrows up to `want` helper tokens from the global budget.
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
     fn acquire(&self, want: usize) -> Tokens<'_> {
         let mut available = self.tokens.load(Ordering::Acquire);
         loop {
@@ -322,7 +313,7 @@ impl Executor {
     /// [`Executor::threads`] workers with steal-half balancing. Results are
     /// deterministic: each task writes only its own slot, so the outcome is
     /// independent of scheduling. Runs inline when the region is trivial,
-    /// nested inside another region, or the `parallel` feature is off.
+    /// nested inside another region, or the budget is one thread.
     pub fn for_each_indexed<T, F>(&self, items: &mut [T], f: F)
     where
         T: Send,
@@ -331,7 +322,6 @@ impl Executor {
         self.regions.fetch_add(1, Ordering::Relaxed);
         self.tasks.fetch_add(items.len() as u64, Ordering::Relaxed);
 
-        #[cfg(feature = "parallel")]
         if items.len() > 1 && self.threads > 1 && !Self::in_worker() {
             let tokens = self.acquire(self.threads.min(items.len()) - 1);
             if tokens.count > 0 {
@@ -360,7 +350,6 @@ impl Executor {
 
     /// One worker's region loop: pop/steal indices, take the slot, run the
     /// task.
-    #[cfg(feature = "parallel")]
     fn drive<T, F>(&self, me: usize, queue: &StealQueue, slots: &[Mutex<Option<&mut T>>], f: &F)
     where
         T: Send,
@@ -418,7 +407,6 @@ impl Executor {
         self.regions.fetch_add(1, Ordering::Relaxed);
         self.tasks.fetch_add(2, Ordering::Relaxed);
 
-        #[cfg(feature = "parallel")]
         if self.threads > 1 && !Self::in_worker() {
             let tokens = self.acquire(1);
             if tokens.count == 1 {
@@ -487,7 +475,7 @@ mod tests {
                 .map_indexed((0..x).collect::<Vec<u64>>(), |_, y| y)
                 .iter()
                 .sum();
-            assert!(Executor::in_worker() || exec.threads() == 1 || !cfg!(feature = "parallel"));
+            assert!(Executor::in_worker() || exec.threads() == 1);
             inner
         });
         let expect: Vec<u64> = (0..12u64).map(|x| x * (x.saturating_sub(1)) / 2).collect();
