@@ -116,9 +116,9 @@ fn run_reps(
 /// Runs `reps` seeded repetitions of a workload and averages the corrected
 /// sums of every estimator at every checkpoint.
 ///
-/// Repetition `rep` always uses seed `base_seed + rep`; under the `parallel`
-/// feature the repetitions run on the shared executor and are folded in
-/// repetition order, so the series is identical either way.
+/// Repetition `rep` always uses seed `base_seed + rep`; the repetitions run
+/// on the shared executor (serially under `UU_THREADS=1`) and are folded in
+/// repetition order, so the series is identical at every thread budget.
 pub fn mean_series(
     reps: u64,
     base_seed: u64,
@@ -280,9 +280,9 @@ mod tests {
 
     #[test]
     fn mean_series_is_deterministic_across_runs() {
-        // Under the `parallel` feature repetitions run on scoped threads;
-        // per-repetition seeds and the in-order fold must make scheduling
-        // irrelevant, so two runs agree bit-for-bit.
+        // Repetitions run on the shared executor's workers; per-repetition
+        // seeds and the in-order fold must make scheduling irrelevant, so
+        // two runs agree bit-for-bit.
         let estimators = standard_estimators(MonteCarloConfig::fast());
         let make = |seed: u64| {
             let s = figure6(10, 1.0, 1.0, seed);

@@ -13,9 +13,9 @@
 //! statistics, computed **at most once per [`SampleView`]** and shared by
 //! every estimator through [`crate::estimate::SumEstimator`]'s `*_profiled`
 //! methods. [`crate::engine::EstimationSession::run`] builds one profile per
-//! view and fans all estimator kinds out over it (in parallel under the
-//! `parallel` feature); the query executor builds one profile per estimation
-//! universe (per group in a `GROUP BY`).
+//! view and fans all estimator kinds out over it on the shared executor
+//! (serially under `UU_THREADS=1`); the query executor builds one profile per
+//! estimation universe (per group in a `GROUP BY`).
 //!
 //! Profiled and direct paths are **bit-for-bit identical** — the profile only
 //! memoizes, it never approximates. Parity is pinned for every registry kind
@@ -30,15 +30,15 @@
 //!
 //! A `ViewProfile` borrows its view, so it cannot outlive one query. For the
 //! repeated-query workloads of a server frontend, [`ProfileSnapshot`] freezes
-//! a fully-warmed profile together with an owned copy of its view
+//! a fully-warmed profile's memo together with an owned copy of its view
 //! ([`ViewProfile::warm`] computes every statistic eagerly, fanning out on
 //! the shared executor), and [`ProfileCache`] is the bounded LRU map the
 //! query executor consults — keyed by [`ProfileKey`] (table version,
 //! predicate fingerprint, group key) — before building a profile from
-//! scratch. Thawing a snapshot ([`ProfileSnapshot::profile`]) pre-fills every
-//! memo slot, so a cache hit performs **zero** statistics builds
-//! (counter-asserted by the cache tests). Entries are invalidated naturally
-//! by the table version in the key and explicitly via
+//! scratch. A profile of a snapshot ([`ProfileSnapshot::profile`]) borrows
+//! the frozen memo, so a cache hit copies nothing and performs **zero**
+//! statistics builds (counter-asserted by the cache tests). Entries are
+//! invalidated naturally by the table version in the key and explicitly via
 //! [`ProfileCache::invalidate_table`] on catalog mutation.
 //!
 //! # Examples
@@ -60,6 +60,7 @@
 //! assert_eq!(m.bucket_builds, 1);
 //! ```
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -69,7 +70,7 @@ use crate::bucket::{delta_over_buckets, BucketReport, DynamicBucketEstimator};
 use crate::estimate::DeltaEstimate;
 use crate::recommend::{diagnose, recommendation_for, Diagnostics, Recommendation};
 use crate::sample::{ObservedItem, SampleView};
-use uu_stats::species::{CountEstimate, SpeciesCache, SpeciesEstimator};
+use uu_stats::species::{CountEstimate, SpeciesEstimator};
 
 /// Number of species estimators a profile memoizes.
 const LADDER: usize = SpeciesEstimator::ALL.len();
@@ -108,6 +109,22 @@ impl ProfileMetrics {
     }
 }
 
+/// The memo slots behind a [`ViewProfile`]: one `OnceLock` per statistic.
+///
+/// The value sort is stored as indices into the view's items, so a memo holds
+/// no reference into its view: a lazy profile owns one, and a
+/// [`ProfileSnapshot`] freezes one that its profiles then borrow.
+#[derive(Debug, Clone, Default)]
+struct Memo {
+    species: [OnceLock<CountEstimate>; LADDER],
+    sorted_idx: OnceLock<Vec<u32>>,
+    buckets: OnceLock<Vec<BucketReport>>,
+    bucket_delta: OnceLock<DeltaEstimate>,
+    diagnostics: OnceLock<Diagnostics>,
+    recommendation: OnceLock<Recommendation>,
+    ranks: OnceLock<Vec<u64>>,
+}
+
 /// Lazily-memoized, thread-safe bundle of derived statistics for one
 /// [`SampleView`].
 ///
@@ -119,38 +136,21 @@ impl ProfileMetrics {
 #[derive(Debug)]
 pub struct ViewProfile<'a> {
     view: &'a SampleView,
-    species: SpeciesCache<'a>,
+    memo: Cow<'a, Memo>,
+    /// `memo.sorted_idx` resolved to item references, built on first use.
     sorted: OnceLock<Vec<&'a ObservedItem>>,
-    buckets: OnceLock<Vec<BucketReport>>,
-    bucket_delta: OnceLock<DeltaEstimate>,
-    diagnostics: OnceLock<Diagnostics>,
-    recommendation: OnceLock<Recommendation>,
-    ranks: OnceLock<Vec<u64>>,
     sort_builds: AtomicU64,
     bucket_builds: AtomicU64,
     diagnostics_builds: AtomicU64,
     rank_builds: AtomicU64,
+    species_computations: AtomicU64,
     reads: AtomicU64,
 }
 
 impl<'a> ViewProfile<'a> {
     /// An empty profile over `view`; nothing is computed yet.
     pub fn new(view: &'a SampleView) -> Self {
-        ViewProfile {
-            view,
-            species: SpeciesCache::new(view.freq()),
-            sorted: OnceLock::new(),
-            buckets: OnceLock::new(),
-            bucket_delta: OnceLock::new(),
-            diagnostics: OnceLock::new(),
-            recommendation: OnceLock::new(),
-            ranks: OnceLock::new(),
-            sort_builds: AtomicU64::new(0),
-            bucket_builds: AtomicU64::new(0),
-            diagnostics_builds: AtomicU64::new(0),
-            rank_builds: AtomicU64::new(0),
-            reads: AtomicU64::new(0),
-        }
+        ViewProfile::with_memo(view, Cow::Owned(Memo::default()))
     }
 
     /// A profile over `view` whose value sort is pre-filled from an
@@ -163,13 +163,30 @@ impl<'a> ViewProfile<'a> {
     /// that permutation instead of re-sorting. Every other statistic is
     /// computed lazily as usual; `sort_builds` stays 0.
     pub fn with_sorted_indices(view: &'a SampleView, sorted_idx: &[u32]) -> Self {
-        let profile = ViewProfile::new(view);
-        let items = view.items();
-        debug_assert_eq!(sorted_idx.len(), items.len(), "permutation covers the view");
-        let _ = profile
-            .sorted
-            .set(sorted_idx.iter().map(|&i| &items[i as usize]).collect());
-        profile
+        ViewProfile::presorted(view, sorted_idx.to_vec())
+    }
+
+    fn presorted(view: &'a SampleView, sorted_idx: Vec<u32>) -> Self {
+        debug_assert_eq!(sorted_idx.len(), view.items().len());
+        let memo = Memo {
+            sorted_idx: OnceLock::from(sorted_idx),
+            ..Memo::default()
+        };
+        ViewProfile::with_memo(view, Cow::Owned(memo))
+    }
+
+    fn with_memo(view: &'a SampleView, memo: Cow<'a, Memo>) -> Self {
+        ViewProfile {
+            view,
+            memo,
+            sorted: OnceLock::new(),
+            sort_builds: AtomicU64::new(0),
+            bucket_builds: AtomicU64::new(0),
+            diagnostics_builds: AtomicU64::new(0),
+            rank_builds: AtomicU64::new(0),
+            species_computations: AtomicU64::new(0),
+            reads: AtomicU64::new(0),
+        }
     }
 
     /// The profiled view.
@@ -185,7 +202,28 @@ impl<'a> ViewProfile<'a> {
     /// (identical to `estimator.estimate(view.freq())`).
     pub fn species(&self, estimator: SpeciesEstimator) -> CountEstimate {
         self.read();
-        self.species.estimate(estimator)
+        self.ladder_rung(estimator)
+    }
+
+    /// [`ViewProfile::species`] without counting a read.
+    fn ladder_rung(&self, estimator: SpeciesEstimator) -> CountEstimate {
+        *self.memo.species[estimator.index()].get_or_init(|| {
+            self.species_computations.fetch_add(1, Ordering::Relaxed);
+            estimator.estimate(self.view.freq())
+        })
+    }
+
+    /// The memoized value-sort permutation: indices into `view.items()`,
+    /// stable-sorted ascending by `total_cmp`.
+    fn sorted_idx(&self) -> &[u32] {
+        self.memo.sorted_idx.get_or_init(|| {
+            self.sort_builds.fetch_add(1, Ordering::Relaxed);
+            let _span = crate::obs::span(crate::obs::Stage::ValueSort);
+            let items = self.view.items();
+            let mut idx: Vec<u32> = (0..items.len() as u32).collect();
+            idx.sort_by(|&a, &b| items[a as usize].value.total_cmp(&items[b as usize].value));
+            idx
+        })
     }
 
     /// Items sorted ascending by value — the working order of the bucket
@@ -193,9 +231,11 @@ impl<'a> ViewProfile<'a> {
     pub fn sorted_items(&self) -> &[&'a ObservedItem] {
         self.read();
         self.sorted.get_or_init(|| {
-            self.sort_builds.fetch_add(1, Ordering::Relaxed);
-            let _span = crate::obs::span(crate::obs::Stage::ValueSort);
-            self.view.items_sorted_by_value()
+            let items = self.view.items();
+            self.sorted_idx()
+                .iter()
+                .map(|&i| &items[i as usize])
+                .collect()
         })
     }
 
@@ -204,7 +244,7 @@ impl<'a> ViewProfile<'a> {
     /// produces), computed at most once per profile.
     pub fn bucket_reports(&self) -> &[BucketReport] {
         self.read();
-        self.buckets.get_or_init(|| {
+        self.memo.buckets.get_or_init(|| {
             self.bucket_builds.fetch_add(1, Ordering::Relaxed);
             if self.view.is_empty() {
                 Vec::new()
@@ -221,7 +261,7 @@ impl<'a> ViewProfile<'a> {
     /// from the memoized partition.
     pub fn bucket_delta(&self) -> DeltaEstimate {
         self.read();
-        *self.bucket_delta.get_or_init(|| {
+        *self.memo.bucket_delta.get_or_init(|| {
             if self.view.is_empty() {
                 DeltaEstimate::UNDEFINED
             } else {
@@ -233,7 +273,7 @@ impl<'a> ViewProfile<'a> {
     /// Memoized §6.5 selection signals (identical to `diagnose(view)`).
     pub fn diagnostics(&self) -> Diagnostics {
         self.read();
-        *self.diagnostics.get_or_init(|| {
+        *self.memo.diagnostics.get_or_init(|| {
             self.diagnostics_builds.fetch_add(1, Ordering::Relaxed);
             diagnose(self.view)
         })
@@ -244,6 +284,7 @@ impl<'a> ViewProfile<'a> {
     pub fn recommendation(&self) -> Recommendation {
         self.read();
         *self
+            .memo
             .recommendation
             .get_or_init(|| recommendation_for(self.view, &self.diagnostics()))
     }
@@ -252,7 +293,7 @@ impl<'a> ViewProfile<'a> {
     /// indexing of the observed sample.
     pub fn rank_multiplicities(&self) -> &[u64] {
         self.read();
-        self.ranks.get_or_init(|| {
+        self.memo.ranks.get_or_init(|| {
             self.rank_builds.fetch_add(1, Ordering::Relaxed);
             self.view.rank_multiplicities()
         })
@@ -265,7 +306,7 @@ impl<'a> ViewProfile<'a> {
             bucket_builds: self.bucket_builds.load(Ordering::Relaxed),
             diagnostics_builds: self.diagnostics_builds.load(Ordering::Relaxed),
             rank_builds: self.rank_builds.load(Ordering::Relaxed),
-            species_computations: self.species.computations(),
+            species_computations: self.species_computations.load(Ordering::Relaxed),
             reads: self.reads.load(Ordering::Relaxed),
         }
     }
@@ -287,33 +328,24 @@ impl<'a> ViewProfile<'a> {
         let ranks = || {
             let _ = self.rank_multiplicities();
         };
-        let ladder = || self.species.warm();
+        let ladder = || {
+            let _span = crate::obs::span(crate::obs::Stage::SpeciesLadder);
+            let mut rungs = SpeciesEstimator::ALL;
+            crate::exec::global().for_each_indexed(&mut rungs, |_, est| {
+                let _ = self.ladder_rung(*est);
+            });
+        };
         let mut stages: [&(dyn Fn() + Sync); 4] = [&buckets, &recommendation, &ranks, &ladder];
         crate::exec::global().for_each_indexed(&mut stages, |_, stage| stage());
         self
     }
 
-    /// Rebuilds a profile over a snapshot's view with every memo slot
-    /// pre-filled: no statistic is ever rebuilt (`total_builds` stays 0).
-    fn thaw(snapshot: &'a ProfileSnapshot) -> Self {
-        let profile = ViewProfile::new(&snapshot.view);
-        for (est, value) in SpeciesEstimator::ALL.iter().zip(snapshot.species) {
-            profile.species.preload(*est, value);
-        }
-        let items = snapshot.view.items();
-        let _ = profile.sorted.set(
-            snapshot
-                .sorted_idx
-                .iter()
-                .map(|&i| &items[i as usize])
-                .collect(),
-        );
-        let _ = profile.buckets.set(snapshot.buckets.clone());
-        let _ = profile.bucket_delta.set(snapshot.bucket_delta);
-        let _ = profile.diagnostics.set(snapshot.diagnostics);
-        let _ = profile.recommendation.set(snapshot.recommendation);
-        let _ = profile.ranks.set(snapshot.ranks.clone());
-        profile
+    /// Warms the profile and moves its memo out, every slot filled.
+    fn into_memo(self) -> Memo {
+        self.warm();
+        // An empty view's Δ short-circuits past the sort and the partition.
+        let _ = (self.sorted_idx(), self.bucket_reports());
+        self.memo.into_owned()
     }
 }
 
@@ -321,22 +353,15 @@ impl<'a> ViewProfile<'a> {
 /// cross-query [`ProfileCache`] stores.
 ///
 /// Unlike `ViewProfile` it owns its [`SampleView`], so it can outlive the
-/// query that built it. [`ProfileSnapshot::profile`] thaws it back into a
-/// `ViewProfile` whose memo slots are all pre-filled; estimators consuming a
-/// thawed profile perform zero statistics builds and return bit-for-bit the
-/// results they would compute from scratch.
+/// query that built it. [`ProfileSnapshot::profile`] hands out a
+/// `ViewProfile` that borrows the frozen memo; estimators consuming it
+/// perform zero statistics builds and return bit-for-bit the results they
+/// would compute from scratch.
 #[derive(Debug, Clone)]
 pub struct ProfileSnapshot {
     view: SampleView,
-    species: [CountEstimate; LADDER],
-    /// Indices into `view.items()` in ascending-value order (the memoized
-    /// sort, stored positionally so the snapshot stays self-contained).
-    sorted_idx: Vec<u32>,
-    buckets: Vec<BucketReport>,
-    bucket_delta: DeltaEstimate,
-    diagnostics: Diagnostics,
-    recommendation: Recommendation,
-    ranks: Vec<u64>,
+    /// Every slot filled by `capture`.
+    memo: Memo,
 }
 
 impl ProfileSnapshot {
@@ -344,36 +369,8 @@ impl ProfileSnapshot {
     /// shared executor) and freezes the result.
     pub fn capture(view: SampleView) -> Self {
         let _span = crate::obs::span(crate::obs::Stage::Freeze);
-        let (species, sorted_idx, buckets, bucket_delta, diagnostics, recommendation, ranks) = {
-            let profile = ViewProfile::new(&view);
-            profile.warm();
-            let items = view.items();
-            // Recover the sorted permutation positionally: stable-sorting
-            // indices with the same `total_cmp` comparator reproduces
-            // `items_sorted_by_value`'s order exactly.
-            let mut sorted_idx: Vec<u32> = (0..items.len() as u32).collect();
-            sorted_idx
-                .sort_by(|&a, &b| items[a as usize].value.total_cmp(&items[b as usize].value));
-            (
-                profile.species.all_estimates(),
-                sorted_idx,
-                profile.bucket_reports().to_vec(),
-                profile.bucket_delta(),
-                profile.diagnostics(),
-                profile.recommendation(),
-                profile.rank_multiplicities().to_vec(),
-            )
-        };
-        ProfileSnapshot {
-            view,
-            species,
-            sorted_idx,
-            buckets,
-            bucket_delta,
-            diagnostics,
-            recommendation,
-            ranks,
-        }
+        let memo = ViewProfile::new(&view).into_memo();
+        ProfileSnapshot { view, memo }
     }
 
     /// [`ProfileSnapshot::capture`] with the value-sort permutation supplied
@@ -386,28 +383,13 @@ impl ProfileSnapshot {
     /// `capture`.
     pub fn capture_presorted(view: SampleView, sorted_idx: Vec<u32>) -> Self {
         let _span = crate::obs::span(crate::obs::Stage::Freeze);
-        let (species, buckets, bucket_delta, diagnostics, recommendation, ranks) = {
-            let profile = ViewProfile::with_sorted_indices(&view, &sorted_idx);
-            profile.warm();
-            (
-                profile.species.all_estimates(),
-                profile.bucket_reports().to_vec(),
-                profile.bucket_delta(),
-                profile.diagnostics(),
-                profile.recommendation(),
-                profile.rank_multiplicities().to_vec(),
-            )
-        };
-        ProfileSnapshot {
-            view,
-            species,
-            sorted_idx,
-            buckets,
-            bucket_delta,
-            diagnostics,
-            recommendation,
-            ranks,
-        }
+        let memo = ViewProfile::presorted(&view, sorted_idx).into_memo();
+        ProfileSnapshot { view, memo }
+    }
+
+    /// A frozen buffer slot of the memo; `capture` warmed them all.
+    fn frozen<T>(slot: &OnceLock<Vec<T>>) -> &[T] {
+        slot.get().expect("a snapshot's memo is fully warmed")
     }
 
     /// The frozen view.
@@ -420,7 +402,7 @@ impl ProfileSnapshot {
     /// durable-storage layer re-freeze the snapshot bit-for-bit through
     /// [`ProfileSnapshot::capture_presorted`] without re-sorting.
     pub fn sorted_indices(&self) -> &[u32] {
-        &self.sorted_idx
+        Self::frozen(&self.memo.sorted_idx)
     }
 
     /// Delta-maintains the snapshot under an append: `bumps` are
@@ -448,7 +430,7 @@ impl ProfileSnapshot {
         let mut delta_idx: Vec<u32> = (old_len..old_len + appended_len).collect();
         delta_idx.sort_by(|&a, &b| items[a as usize].value.total_cmp(&items[b as usize].value));
         let mut merged = Vec::with_capacity(items.len());
-        let mut old_iter = self.sorted_idx.iter().copied().peekable();
+        let mut old_iter = self.sorted_indices().iter().copied().peekable();
         let mut new_iter = delta_idx.into_iter().peekable();
         loop {
             match (old_iter.peek(), new_iter.peek()) {
@@ -495,19 +477,31 @@ impl ProfileSnapshot {
         // The frequency ladder `f_1..f_max` lives behind the view too; its
         // heap buffer is one `u64` per multiplicity level.
         let ladder_bytes = self.view.freq().max_multiplicity() as usize * size_of::<u64>();
-        size_of::<Self>()
+        // Inline: the view plus one value of each statistic (the memo's
+        // `OnceLock` headers are not counted).
+        type Inline = (
+            SampleView,
+            [CountEstimate; LADDER],
+            Vec<u32>,
+            Vec<BucketReport>,
+            DeltaEstimate,
+            Diagnostics,
+            Recommendation,
+            Vec<u64>,
+        );
+        size_of::<Inline>()
             + item_bytes
             + size_of_val(self.view.source_sizes())
             + ladder_bytes
-            + size_of_val(self.sorted_idx.as_slice())
-            + size_of_val(self.buckets.as_slice())
-            + size_of_val(self.ranks.as_slice())
+            + size_of_val(self.sorted_indices())
+            + size_of_val(Self::frozen(&self.memo.buckets))
+            + size_of_val(Self::frozen(&self.memo.ranks))
     }
 
-    /// Thaws the snapshot into a fully pre-filled [`ViewProfile`] borrowing
-    /// it.
+    /// A profile over the snapshot that borrows its frozen memo: nothing is
+    /// copied and no statistic is ever rebuilt (`total_builds` stays 0).
     pub fn profile(&self) -> ViewProfile<'_> {
-        ViewProfile::thaw(self)
+        ViewProfile::with_memo(&self.view, Cow::Borrowed(&self.memo))
     }
 }
 
@@ -960,14 +954,17 @@ mod tests {
         let mut lanes = [0u8; 4];
         exec.for_each_indexed(&mut lanes, |_, _| {
             let _ = p.bucket_delta();
-            let _ = p.species(SpeciesEstimator::Chao92);
+            for est in SpeciesEstimator::ALL {
+                assert_eq!(p.species(est), est.estimate(v.freq()), "{}", est.name());
+            }
             let _ = p.recommendation();
             let _ = p.rank_multiplicities();
         });
         let m = p.metrics();
         assert_eq!(m.sort_builds, 1);
         assert_eq!(m.bucket_builds, 1);
-        assert_eq!(m.species_computations, 1);
+        // OnceLock initialises each ladder slot exactly once across lanes.
+        assert_eq!(m.species_computations, 6);
     }
 
     #[test]
@@ -1085,7 +1082,7 @@ mod tests {
         rebuilt_items.extend(appended);
         let rebuilt = ProfileSnapshot::capture(SampleView::from_observed_items(rebuilt_items));
         assert_eq!(refrozen.view(), rebuilt.view());
-        assert_eq!(refrozen.sorted_idx, rebuilt.sorted_idx);
+        assert_eq!(refrozen.sorted_indices(), rebuilt.sorted_indices());
         let a = refrozen.profile();
         let b = rebuilt.profile();
         for est in SpeciesEstimator::ALL {
@@ -1117,7 +1114,7 @@ mod tests {
         let refrozen = empty.refreeze(&[], appended.clone());
         let rebuilt = ProfileSnapshot::capture(SampleView::from_observed_items(appended));
         assert_eq!(refrozen.view(), rebuilt.view());
-        assert_eq!(refrozen.sorted_idx, rebuilt.sorted_idx);
+        assert_eq!(refrozen.sorted_indices(), rebuilt.sorted_indices());
     }
 
     #[test]
@@ -1154,6 +1151,10 @@ mod tests {
         assert_eq!(p.bucket_delta(), DeltaEstimate::UNDEFINED);
         assert_eq!(p.recommendation(), Recommendation::CollectMoreData);
         assert!(p.sorted_items().is_empty());
+        assert!(p.bucket_reports().is_empty());
+        assert!(snapshot.sorted_indices().is_empty());
+        // Capture froze the sort and partition an empty Δ never asks for.
+        assert_eq!(p.metrics().total_builds(), 0);
     }
 
     fn key(table: &str, version: u64, predicate: &str) -> ProfileKey {

@@ -12,11 +12,12 @@
 //! recommendation, the species estimates and the bucket partition behind the
 //! corrected answer are computed once and shared between the correction, the
 //! AVG/MIN/MAX strategies and the result metadata. Grouped queries evaluate
-//! their groups on the shared work-stealing executor (`uu_core::exec`) under
-//! the `parallel` feature (results are identical and in the same group order
-//! either way); nested parallel work inside a group — the session fan-out,
-//! the Monte-Carlo grid — runs inline on the group's worker, so a grouped
-//! Monte-Carlo workload never exceeds the executor's thread budget.
+//! their groups on the shared work-stealing executor (`uu_core::exec`), whose
+//! thread budget `UU_THREADS` sets (results are identical and in the same
+//! group order at every budget, `UU_THREADS=1` included); nested parallel
+//! work inside a group — the session fan-out, the Monte-Carlo grid — runs
+//! inline on the group's worker, so a grouped Monte-Carlo workload never
+//! exceeds the executor's thread budget.
 //!
 //! For repeated-query workloads, [`execute_cached`] /
 //! [`execute_grouped_cached`] consult a [`QueryProfileCache`] before building

@@ -210,8 +210,8 @@ impl SpeciesEstimator {
         SpeciesEstimator::Bootstrap,
     ];
 
-    /// Stable dense index of this estimator within [`Self::ALL`], used as the
-    /// slot key by [`SpeciesCache`].
+    /// Stable dense index of this estimator within [`Self::ALL`], used as a
+    /// memo slot key by per-view profiles.
     pub const fn index(self) -> usize {
         match self {
             SpeciesEstimator::Chao92 => 0,
@@ -245,93 +245,6 @@ impl SpeciesEstimator {
             SpeciesEstimator::Jackknife2 => "jackknife2",
             SpeciesEstimator::Bootstrap => "bootstrap",
         }
-    }
-}
-
-/// A thread-safe, lazily filled memo of species estimates over one frequency
-/// ladder.
-///
-/// Every estimator in the paper's suite ultimately asks the same question —
-/// "what does Chao92 (or a baseline) say about this ladder?" — and a batched
-/// session asks it once per estimator per view. The cache borrows the ladder,
-/// computes each requested [`SpeciesEstimator`] at most once, and returns the
-/// memoized [`CountEstimate`] (a `Copy` value) on every subsequent call, so
-/// repeated estimation over a shared view is free after the first pass.
-///
-/// # Examples
-///
-/// ```
-/// use uu_stats::freq::FrequencyStatistics;
-/// use uu_stats::species::{SpeciesCache, SpeciesEstimator};
-///
-/// let f = FrequencyStatistics::from_multiplicities([1u64, 2, 4]);
-/// let cache = SpeciesCache::new(&f);
-/// let a = cache.estimate(SpeciesEstimator::Chao92);
-/// let b = cache.estimate(SpeciesEstimator::Chao92);
-/// assert_eq!(a, b);
-/// assert_eq!(cache.computations(), 1); // second call was a cache hit
-/// ```
-#[derive(Debug)]
-pub struct SpeciesCache<'a> {
-    freq: &'a FrequencyStatistics,
-    slots: [std::sync::OnceLock<CountEstimate>; 6],
-    computations: std::sync::atomic::AtomicU64,
-}
-
-impl<'a> SpeciesCache<'a> {
-    /// An empty cache over `freq`.
-    pub fn new(freq: &'a FrequencyStatistics) -> Self {
-        SpeciesCache {
-            freq,
-            slots: Default::default(),
-            computations: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// The ladder this cache memoizes over.
-    pub fn freq(&self) -> &'a FrequencyStatistics {
-        self.freq
-    }
-
-    /// The memoized estimate of `estimator` over the ladder, computed on
-    /// first use.
-    pub fn estimate(&self, estimator: SpeciesEstimator) -> CountEstimate {
-        *self.slots[estimator.index()].get_or_init(|| {
-            self.computations
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            estimator.estimate(self.freq)
-        })
-    }
-
-    /// How many estimates were actually computed (cache misses) so far.
-    pub fn computations(&self) -> u64 {
-        self.computations.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Eagerly evaluates the whole ladder — every [`SpeciesEstimator`] — on
-    /// the shared executor (inline when already inside an executor worker or
-    /// when the `parallel` feature is off). Afterwards every
-    /// [`SpeciesCache::estimate`] call is a cache hit.
-    pub fn warm(&self) {
-        let _span = crate::obs::span(crate::obs::Stage::SpeciesLadder);
-        let mut ladder = SpeciesEstimator::ALL;
-        crate::exec::global().for_each_indexed(&mut ladder, |_, est| {
-            let _ = self.estimate(*est);
-        });
-    }
-
-    /// The memoized estimates of the full ladder, in [`SpeciesEstimator::ALL`]
-    /// order, warming the cache first.
-    pub fn all_estimates(&self) -> [CountEstimate; SpeciesEstimator::ALL.len()] {
-        self.warm();
-        SpeciesEstimator::ALL.map(|est| self.estimate(est))
-    }
-
-    /// Pre-fills one slot with an already-known estimate (used when thawing a
-    /// cached profile snapshot). A no-op if the slot was already computed;
-    /// does not count as a computation.
-    pub fn preload(&self, estimator: SpeciesEstimator, estimate: CountEstimate) {
-        let _ = self.slots[estimator.index()].set(estimate);
     }
 }
 
@@ -425,66 +338,6 @@ mod tests {
         for (i, est) in SpeciesEstimator::ALL.iter().enumerate() {
             assert_eq!(est.index(), i);
         }
-    }
-
-    #[test]
-    fn cache_matches_direct_estimates_and_counts_misses() {
-        let f = toy_before();
-        let cache = SpeciesCache::new(&f);
-        for est in SpeciesEstimator::ALL {
-            assert_eq!(cache.estimate(est), est.estimate(&f), "{}", est.name());
-        }
-        assert_eq!(cache.computations(), 6);
-        // Every repeated read is a hit.
-        for est in SpeciesEstimator::ALL {
-            let _ = cache.estimate(est);
-        }
-        assert_eq!(cache.computations(), 6);
-        assert_eq!(cache.freq().n(), 7);
-    }
-
-    #[test]
-    fn cache_is_shareable_across_threads() {
-        let f = FrequencyStatistics::from_multiplicities([1, 2, 2, 4, 5]);
-        let cache = SpeciesCache::new(&f);
-        let exec = crate::exec::Executor::with_threads(4);
-        let mut lanes = [0u8; 4];
-        exec.for_each_indexed(&mut lanes, |_, _| {
-            for est in SpeciesEstimator::ALL {
-                assert_eq!(cache.estimate(est), est.estimate(cache.freq()));
-            }
-        });
-        // OnceLock guarantees each slot initialises exactly once.
-        assert_eq!(cache.computations(), 6);
-    }
-
-    #[test]
-    fn warm_evaluates_the_whole_ladder_once() {
-        let f = toy_before();
-        let cache = SpeciesCache::new(&f);
-        cache.warm();
-        assert_eq!(cache.computations(), 6);
-        let all = cache.all_estimates();
-        assert_eq!(cache.computations(), 6, "warm repeats must be cache hits");
-        for (est, got) in SpeciesEstimator::ALL.iter().zip(all) {
-            assert_eq!(got, est.estimate(&f));
-        }
-    }
-
-    #[test]
-    fn preload_skips_computation_but_never_overrides() {
-        let f = toy_before();
-        let cache = SpeciesCache::new(&f);
-        cache.preload(SpeciesEstimator::Chao92, CountEstimate::Estimate(123.0));
-        assert_eq!(
-            cache.estimate(SpeciesEstimator::Chao92),
-            CountEstimate::Estimate(123.0)
-        );
-        assert_eq!(cache.computations(), 0);
-        // A computed slot wins over a later preload.
-        let direct = cache.estimate(SpeciesEstimator::Chao84);
-        cache.preload(SpeciesEstimator::Chao84, CountEstimate::Undefined);
-        assert_eq!(cache.estimate(SpeciesEstimator::Chao84), direct);
     }
 
     proptest! {

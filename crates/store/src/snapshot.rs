@@ -225,6 +225,12 @@ fn decode(payload: &[u8]) -> Result<TableSnapshot, StoreError> {
             for _ in 0..nsorted {
                 sorted_idx.push(r.take_u32()?);
             }
+            if !is_permutation(&sorted_idx, items.len()) {
+                return Err(StoreError::Corrupt(format!(
+                    "universe sort order is not a permutation of its {} items",
+                    items.len()
+                )));
+            }
             universes.push(UniverseData {
                 group,
                 items,
@@ -249,6 +255,16 @@ fn decode(payload: &[u8]) -> Result<TableSnapshot, StoreError> {
         entities,
         selections,
     })
+}
+
+/// True when `idx` holds each of `0..len` exactly once.
+fn is_permutation(idx: &[u32], len: usize) -> bool {
+    let mut seen = vec![false; len];
+    idx.len() == len
+        && idx.iter().all(|&i| {
+            seen.get_mut(i as usize)
+                .is_some_and(|slot| !std::mem::replace(slot, true))
+        })
 }
 
 /// Writes `snapshot` atomically (temp file + fsync + rename + directory
@@ -429,5 +445,22 @@ mod tests {
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(read_snapshot(&path), Err(StoreError::Corrupt(_))));
+    }
+
+    #[test]
+    fn a_sort_order_that_is_not_a_permutation_is_corrupt() {
+        let dir = scratch("bad-permutation");
+        let path = snapshot_path(&dir, "companies");
+        // Out of range, too short, duplicated: each would mis-profile (or
+        // panic) the restored universe, so decoding must refuse it.
+        for sorted_idx in [vec![1], vec![], vec![0, 0]] {
+            let mut snapshot = sample();
+            snapshot.selections[0].universes[0].sorted_idx = sorted_idx.clone();
+            write_snapshot(&dir, &snapshot, FsyncPolicy::Off).unwrap();
+            assert!(
+                matches!(read_snapshot(&path), Err(StoreError::Corrupt(_))),
+                "{sorted_idx:?} accepted"
+            );
+        }
     }
 }

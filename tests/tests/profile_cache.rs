@@ -99,9 +99,9 @@ fn repeated_queries_hit_and_match_the_uncached_path() {
 
 #[test]
 fn a_cache_hit_rebuilds_no_statistics() {
-    // What the executor does on a hit: thaw the selection's snapshot and run
-    // estimators over it. Even a full 5-estimator session pass must perform
-    // zero statistics builds on the thawed profile.
+    // What the executor does on a hit: profile the selection's snapshot and
+    // run estimators over it. Even a full 5-estimator session pass must
+    // perform zero statistics builds and copy no frozen statistic.
     let table = tech_table();
     let view = table
         .sample_view(Some("employees"), &uu_query::predicate::Predicate::True)
@@ -115,6 +115,16 @@ fn a_cache_hit_rebuilds_no_statistics() {
         profile.metrics().total_builds(),
         0,
         "the hit path must reuse every frozen statistic"
+    );
+    // Every profile of the snapshot borrows the same frozen buffers.
+    let again = snapshot.profile();
+    assert_eq!(
+        profile.bucket_reports().as_ptr(),
+        again.bucket_reports().as_ptr()
+    );
+    assert_eq!(
+        profile.rank_multiplicities().as_ptr(),
+        again.rank_multiplicities().as_ptr()
     );
 }
 
