@@ -139,15 +139,19 @@ impl MonteCarloEstimator {
     }
 
     /// [`Self::estimate_count`] consuming the shared statistics of a
-    /// [`ViewProfile`] (memoized Chao92 and rank multiplicities). Bit-for-bit
-    /// identical to the direct path.
+    /// [`ViewProfile`] (memoized Chao92 and rank multiplicities). The count
+    /// itself is memoized in the profile per config, so every estimator
+    /// reading N̂_MC off one profile (or one frozen snapshot) shares a single
+    /// grid search. Bit-for-bit identical to the direct path.
     pub fn estimate_count_profiled(&self, profile: &ViewProfile<'_>) -> Option<f64> {
         let sample = profile.view();
         if sample.is_empty() || !sample.has_lineage() {
             return None;
         }
-        let n_chao = profile.species(SpeciesEstimator::Chao92).value()?;
-        self.grid_search(sample, n_chao, profile.rank_multiplicities())
+        profile.montecarlo_count(&self.config, || {
+            let n_chao = profile.species(SpeciesEstimator::Chao92).value()?;
+            self.grid_search(sample, n_chao, profile.rank_multiplicities())
+        })
     }
 
     /// Algorithm 3's grid search, given the Chao92 search-box bound and the

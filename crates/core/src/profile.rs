@@ -41,6 +41,16 @@
 //! invalidated naturally by the table version in the key and explicitly via
 //! [`ProfileCache::invalidate_table`] on catalog mutation.
 //!
+//! The memo also keeps the Monte-Carlo count N̂_MC (§3.4, Algorithm 3), the
+//! costliest answer in the suite, together with the config that produced
+//! it. It is computed **once per frozen selection**: the first Monte-Carlo
+//! read of any of a snapshot's profiles runs the grid search, and every
+//! later hit reads the memoized count (`montecarlo_runs` stays 0).
+//! [`ViewProfile::warm`], [`ProfileSnapshot::capture`] and
+//! [`ProfileSnapshot::refreeze`] leave that slot **empty** — warming it would
+//! put a grid search on every append — so a refrozen snapshot recomputes
+//! N̂_MC on first use and never serves its parent's.
+//!
 //! # Examples
 //!
 //! ```
@@ -68,6 +78,7 @@ use std::time::{Duration, Instant};
 
 use crate::bucket::{delta_over_buckets, BucketReport, DynamicBucketEstimator};
 use crate::estimate::DeltaEstimate;
+use crate::montecarlo::MonteCarloConfig;
 use crate::recommend::{diagnose, recommendation_for, Diagnostics, Recommendation};
 use crate::sample::{ObservedItem, SampleView};
 use uu_stats::species::{CountEstimate, SpeciesEstimator};
@@ -93,6 +104,10 @@ pub struct ProfileMetrics {
     pub rank_builds: u64,
     /// Species estimators evaluated on the ladder (≤ 6).
     pub species_computations: u64,
+    /// Monte-Carlo grid searches (Algorithm 3) run for N̂_MC: 0 or 1 for
+    /// the memoized config, plus one per read under any other config. Not a
+    /// warmed statistic, so not part of [`ProfileMetrics::total_builds`].
+    pub montecarlo_runs: u64,
     /// Total accessor calls served (builds + cache hits).
     pub reads: u64,
 }
@@ -123,6 +138,9 @@ struct Memo {
     diagnostics: OnceLock<Diagnostics>,
     recommendation: OnceLock<Recommendation>,
     ranks: OnceLock<Vec<u64>>,
+    /// N̂_MC with the config that produced it. Never warmed: filled by the
+    /// first Monte-Carlo read, so a snapshot computes it at most once.
+    montecarlo: OnceLock<(MonteCarloConfig, Option<f64>)>,
 }
 
 /// Lazily-memoized, thread-safe bundle of derived statistics for one
@@ -144,6 +162,7 @@ pub struct ViewProfile<'a> {
     diagnostics_builds: AtomicU64,
     rank_builds: AtomicU64,
     species_computations: AtomicU64,
+    montecarlo_runs: AtomicU64,
     reads: AtomicU64,
 }
 
@@ -185,6 +204,7 @@ impl<'a> ViewProfile<'a> {
             diagnostics_builds: AtomicU64::new(0),
             rank_builds: AtomicU64::new(0),
             species_computations: AtomicU64::new(0),
+            montecarlo_runs: AtomicU64::new(0),
             reads: AtomicU64::new(0),
         }
     }
@@ -299,6 +319,26 @@ impl<'a> ViewProfile<'a> {
         })
     }
 
+    /// The Monte-Carlo count N̂_MC under `config`, memoized for one config:
+    /// the first call runs `compute` and keeps its answer with `config`;
+    /// later calls with an equal config return it, any other config runs
+    /// `compute` unmemoized, so one config's answer never serves another.
+    pub(crate) fn montecarlo_count(
+        &self,
+        config: &MonteCarloConfig,
+        compute: impl Fn() -> Option<f64>,
+    ) -> Option<f64> {
+        self.read();
+        let run = || {
+            self.montecarlo_runs.fetch_add(1, Ordering::Relaxed);
+            compute()
+        };
+        match self.memo.montecarlo.get_or_init(|| (*config, run())) {
+            (memoized, n_mc) if memoized == config => *n_mc,
+            _ => run(),
+        }
+    }
+
     /// A snapshot of the instrumentation counters.
     pub fn metrics(&self) -> ProfileMetrics {
         ProfileMetrics {
@@ -307,6 +347,7 @@ impl<'a> ViewProfile<'a> {
             diagnostics_builds: self.diagnostics_builds.load(Ordering::Relaxed),
             rank_builds: self.rank_builds.load(Ordering::Relaxed),
             species_computations: self.species_computations.load(Ordering::Relaxed),
+            montecarlo_runs: self.montecarlo_runs.load(Ordering::Relaxed),
             reads: self.reads.load(Ordering::Relaxed),
         }
     }
@@ -317,7 +358,9 @@ impl<'a> ViewProfile<'a> {
     /// ([`crate::exec`]). Inside another parallel region the warm-up runs
     /// inline. Values are identical to lazy computation — warming only moves
     /// the cost; it is the preparation step for [`ProfileSnapshot::capture`]
-    /// and for server-style pre-materialisation.
+    /// and for server-style pre-materialisation. The Monte-Carlo count is not
+    /// warmed: its grid search costs far more than every other statistic
+    /// together, so it stays lazy.
     pub fn warm(&self) -> &Self {
         let buckets = || {
             let _ = self.bucket_delta();
@@ -340,7 +383,8 @@ impl<'a> ViewProfile<'a> {
         self
     }
 
-    /// Warms the profile and moves its memo out, every slot filled.
+    /// Warms the profile and moves its memo out, every statistic slot filled
+    /// and the Monte-Carlo slot still empty.
     fn into_memo(self) -> Memo {
         self.warm();
         // An empty view's Δ short-circuits past the sort and the partition.
@@ -360,7 +404,8 @@ impl<'a> ViewProfile<'a> {
 #[derive(Debug, Clone)]
 pub struct ProfileSnapshot {
     view: SampleView,
-    /// Every slot filled by `capture`.
+    /// Every statistic slot filled by `capture`; the Monte-Carlo slot fills
+    /// on the first Monte-Carlo read of any of its profiles.
     memo: Memo,
 }
 
@@ -488,6 +533,7 @@ impl ProfileSnapshot {
             Diagnostics,
             Recommendation,
             Vec<u64>,
+            (MonteCarloConfig, Option<f64>),
         );
         size_of::<Inline>()
             + item_bytes
@@ -855,6 +901,7 @@ impl<V> ProfileCache<V> {
 mod tests {
     use super::*;
     use crate::estimate::SumEstimator;
+    use crate::montecarlo::MonteCarloEstimator;
     use crate::recommend::recommend;
     use crate::sample::StreamAccumulator;
 
@@ -1141,6 +1188,118 @@ mod tests {
             cache.insert_weighted(k, v, 10);
         }
         assert_eq!(cache.get(&key("t", 1, "a")), Some(1));
+    }
+
+    /// Overlapping sources with singletons, so Chao92 opens a real search
+    /// box and Algorithm 3 scores a grid instead of short-circuiting.
+    fn montecarlo_sample() -> SampleView {
+        let mut acc = StreamAccumulator::new();
+        for source in 0..12u32 {
+            for k in 0..(8 + source as u64) {
+                let item = (source as u64 * 5 + k * 11) % 97;
+                acc.push(item, (item + 1) as f64 * 10.0, source);
+            }
+        }
+        let v = acc.view();
+        let n_chao = SpeciesEstimator::Chao92.estimate(v.freq()).value().unwrap();
+        assert!(n_chao - v.c() as f64 >= 1.0, "the grid search must run");
+        v
+    }
+
+    fn mc_bits(config: MonteCarloConfig, profile: &ViewProfile<'_>) -> Option<u64> {
+        MonteCarloEstimator::new(config)
+            .estimate_count_profiled(profile)
+            .map(f64::to_bits)
+    }
+
+    fn direct_mc_bits(config: MonteCarloConfig, view: &SampleView) -> Option<u64> {
+        MonteCarloEstimator::new(config)
+            .estimate_count(view)
+            .map(f64::to_bits)
+    }
+
+    #[test]
+    fn montecarlo_count_matches_the_direct_path() {
+        let v = montecarlo_sample();
+        let config = MonteCarloConfig::default();
+        let p = ViewProfile::new(&v);
+        let want = direct_mc_bits(config, &v);
+        assert!(want.is_some());
+        assert_eq!(mc_bits(config, &p), want);
+        assert_eq!(mc_bits(config, &p), want);
+        assert_eq!(p.metrics().montecarlo_runs, 1);
+    }
+
+    #[test]
+    fn a_snapshot_runs_the_montecarlo_search_once() {
+        let v = montecarlo_sample();
+        let config = MonteCarloConfig::default();
+        let snapshot = ProfileSnapshot::capture(v.clone());
+        let first = snapshot.profile();
+        let a = mc_bits(config, &first);
+        assert_eq!(first.metrics().montecarlo_runs, 1);
+        let second = snapshot.profile();
+        assert_eq!(mc_bits(config, &second), a);
+        assert_eq!(second.metrics().montecarlo_runs, 0);
+        assert_eq!(second.metrics().total_builds(), 0);
+        assert_eq!(a, direct_mc_bits(config, &v));
+    }
+
+    #[test]
+    fn a_memoized_count_never_serves_another_config() {
+        let v = montecarlo_sample();
+        let (fast, default) = (MonteCarloConfig::fast(), MonteCarloConfig::default());
+        let (want_fast, want_default) = (direct_mc_bits(fast, &v), direct_mc_bits(default, &v));
+        assert_ne!(want_fast, want_default, "the configs must disagree here");
+        let p = ViewProfile::new(&v);
+        assert_eq!(mc_bits(fast, &p), want_fast);
+        assert_eq!(mc_bits(default, &p), want_default);
+        assert_eq!(mc_bits(default, &p), want_default);
+        assert_eq!(mc_bits(fast, &p), want_fast);
+        // The first config is memoized; every read of the other recomputes.
+        assert_eq!(p.metrics().montecarlo_runs, 3);
+    }
+
+    #[test]
+    fn concurrent_first_reads_share_one_montecarlo_search() {
+        let v = montecarlo_sample();
+        let config = MonteCarloConfig::default();
+        let snapshot = ProfileSnapshot::capture(v.clone());
+        let runs = AtomicU64::new(0);
+        let mut lanes = [None; 4];
+        crate::exec::Executor::with_threads(4).for_each_indexed(&mut lanes, |_, out| {
+            let profile = snapshot.profile();
+            *out = mc_bits(config, &profile);
+            runs.fetch_add(profile.metrics().montecarlo_runs, Ordering::Relaxed);
+        });
+        let want = direct_mc_bits(config, &v);
+        assert!(lanes.iter().all(|&bits| bits == want), "{lanes:?}");
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn freezing_leaves_the_montecarlo_slot_empty() {
+        let v = montecarlo_sample();
+        let warmed = ViewProfile::new(&v);
+        warmed.warm();
+        assert!(warmed.memo.montecarlo.get().is_none());
+        let items = v.items();
+        let mut idx: Vec<u32> = (0..items.len() as u32).collect();
+        idx.sort_by(|&a, &b| items[a as usize].value.total_cmp(&items[b as usize].value));
+        let captured = ProfileSnapshot::capture(v.clone());
+        let presorted = ProfileSnapshot::capture_presorted(v.clone(), idx);
+        // A parent whose slot is filled must not hand it to its refreeze.
+        let _ = mc_bits(MonteCarloConfig::default(), &captured.profile());
+        assert!(captured.memo.montecarlo.get().is_some());
+        let appended = vec![ObservedItem {
+            value: 7.0,
+            multiplicity: 1,
+            source_counts: vec![(0, 1)],
+        }];
+        let refrozen = captured.refreeze(&[], appended);
+        for snapshot in [&presorted, &refrozen] {
+            assert!(snapshot.memo.montecarlo.get().is_none());
+        }
     }
 
     #[test]

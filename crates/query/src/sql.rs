@@ -16,12 +16,25 @@
 //!
 //! [`parse`] and [`crate::query::AggregateQuery`]'s `Display` round-trip
 //! (property-tested in the integration suite).
+//!
+//! The parser is total on hostile input: a `WHERE` clause may nest
+//! parentheses and `NOT` at most [`MAX_PREDICATE_NESTING`] levels deep and
+//! build at most [`MAX_PREDICATE_NODES`] predicate nodes, so neither the
+//! recursive descent nor the recursive predicate tree can exhaust the stack.
 
 use std::fmt;
 
 use crate::predicate::{CmpOp, Predicate};
 use crate::query::{AggregateFunction, AggregateQuery};
 use crate::value::Value;
+
+/// Deepest nesting of parentheses plus `NOT` a `WHERE` clause may use.
+pub const MAX_PREDICATE_NESTING: usize = 64;
+
+/// Most predicate nodes (comparisons, `TRUE`, `AND`, `OR`, `NOT`) a `WHERE`
+/// clause may build. Left-folded `AND`/`OR` chains grow the tree one level
+/// per term without recursing in the parser, so depth alone cannot bound it.
+pub const MAX_PREDICATE_NODES: usize = 1024;
 
 /// A parse failure with byte position context.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -225,6 +238,10 @@ struct Parser {
     tokens: Vec<(Token, usize)>,
     cursor: usize,
     end: usize,
+    /// Parentheses and `NOT`s currently open around `cursor`.
+    depth: usize,
+    /// Predicate nodes built so far.
+    nodes: usize,
 }
 
 impl Parser {
@@ -238,6 +255,8 @@ impl Parser {
             tokens,
             cursor: 0,
             end: input.len(),
+            depth: 0,
+            nodes: 0,
         })
     }
 
@@ -356,12 +375,40 @@ impl Parser {
         })
     }
 
+    /// Counts one built predicate node against [`MAX_PREDICATE_NODES`].
+    fn node(&mut self, predicate: Predicate) -> Result<Predicate, ParseError> {
+        if self.nodes == MAX_PREDICATE_NODES {
+            return Err(self.error(format!(
+                "predicate has more than {MAX_PREDICATE_NODES} nodes"
+            )));
+        }
+        self.nodes += 1;
+        Ok(predicate)
+    }
+
+    /// Parses `body` one nesting level deeper, refusing to pass
+    /// [`MAX_PREDICATE_NESTING`].
+    fn nested(
+        &mut self,
+        body: fn(&mut Self) -> Result<Predicate, ParseError>,
+    ) -> Result<Predicate, ParseError> {
+        if self.depth == MAX_PREDICATE_NESTING {
+            return Err(self.error(format!(
+                "predicate nested deeper than {MAX_PREDICATE_NESTING} levels"
+            )));
+        }
+        self.depth += 1;
+        let inner = body(self);
+        self.depth -= 1;
+        inner
+    }
+
     fn parse_or(&mut self) -> Result<Predicate, ParseError> {
         let mut lhs = self.parse_and()?;
         while self.keyword_is("OR") {
             self.cursor += 1;
             let rhs = self.parse_and()?;
-            lhs = lhs.or(rhs);
+            lhs = self.node(lhs.or(rhs))?;
         }
         Ok(lhs)
     }
@@ -371,7 +418,7 @@ impl Parser {
         while self.keyword_is("AND") {
             self.cursor += 1;
             let rhs = self.parse_not()?;
-            lhs = lhs.and(rhs);
+            lhs = self.node(lhs.and(rhs))?;
         }
         Ok(lhs)
     }
@@ -379,7 +426,8 @@ impl Parser {
     fn parse_not(&mut self) -> Result<Predicate, ParseError> {
         if self.keyword_is("NOT") {
             self.cursor += 1;
-            return Ok(self.parse_not()?.not());
+            let inner = self.nested(Self::parse_not)?;
+            return self.node(inner.not());
         }
         self.parse_primary()
     }
@@ -387,13 +435,13 @@ impl Parser {
     fn parse_primary(&mut self) -> Result<Predicate, ParseError> {
         if self.peek() == Some(&Token::LParen) {
             self.cursor += 1;
-            let inner = self.parse_or()?;
+            let inner = self.nested(Self::parse_or)?;
             self.expect_token(&Token::RParen, "')'")?;
             return Ok(inner);
         }
         if self.keyword_is("TRUE") {
             self.cursor += 1;
-            return Ok(Predicate::True);
+            return self.node(Predicate::True);
         }
         let column = self.expect_ident("column name in predicate")?;
         let op = match self.advance() {
@@ -419,7 +467,7 @@ impl Parser {
                 return Err(self.error("expected literal (number, 'string' or NULL)"));
             }
         };
-        Ok(Predicate::cmp(column, op, value))
+        self.node(Predicate::cmp(column, op, value))
     }
 }
 
@@ -539,6 +587,50 @@ mod tests {
         assert!(parse("SELECT SUM(x) FROM t WHERE 'str' = a").is_err());
         assert!(parse("SELECT SUM(x) FROM t WHERE a = 'unterminated").is_err());
         assert!(parse("SELECT SUM(x) FROM t WHERE a # 1").is_err());
+    }
+
+    #[test]
+    fn hostile_predicates_are_errors_not_crashes() {
+        let select = "SELECT SUM(v) FROM t WHERE ";
+        let parens = format!("{select}{}v > 1{}", "(".repeat(50_000), ")".repeat(50_000));
+        let chain = |joiner: &str| {
+            let terms = vec!["v > 1"; 50_000];
+            format!("{select}{}", terms.join(joiner))
+        };
+        let nots = format!("{select}{}v > 1", "NOT ".repeat(50_000));
+        for (what, sql) in [
+            ("parentheses", parens),
+            ("AND chain", chain(" AND ")),
+            ("OR chain", chain(" OR ")),
+            ("NOT chain", nots),
+        ] {
+            let err = parse(&sql).unwrap_err();
+            assert!(
+                err.message.contains("nested deeper") || err.message.contains("nodes"),
+                "{what}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn predicates_up_to_the_limits_still_parse() {
+        let depth = MAX_PREDICATE_NESTING;
+        let select = "SELECT SUM(v) FROM t WHERE ";
+        let parens = format!("{select}{}v > 1{}", "(".repeat(depth), ")".repeat(depth));
+        let nots = format!("{select}{}v > 1", "NOT ".repeat(depth));
+        let half = depth / 2;
+        let mixed = format!("{select}{}v > 1{}", "(NOT ".repeat(half), ")".repeat(half));
+        for sql in [&parens, &nots, &mixed] {
+            assert!(parse(sql).is_ok(), "{sql}");
+        }
+        // One level more fails.
+        assert!(parse(&format!("{select}NOT {}", &nots[select.len()..])).is_err());
+        assert!(parse(&format!("{select}({})", &parens[select.len()..])).is_err());
+        // `n` terms joined by `n - 1` ANDs build `2n - 1` nodes.
+        let terms = |n: usize| vec!["v > 1"; n].join(" AND ");
+        let fits = MAX_PREDICATE_NODES.div_ceil(2);
+        assert!(parse(&format!("{select}{}", terms(fits))).is_ok());
+        assert!(parse(&format!("{select}{}", terms(fits + 1))).is_err());
     }
 
     #[test]

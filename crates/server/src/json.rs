@@ -15,6 +15,9 @@
 //!   strings `"NaN"` / `"inf"` / `"-inf"`.
 //! * **One value per line.** The writer never emits raw newlines (strings
 //!   escape them), so a rendered value is always a single wire line.
+//! * **Bounded nesting.** The parser recurses once per array or object, so
+//!   it refuses documents nested deeper than [`MAX_DEPTH`] levels with a
+//!   [`JsonError`] instead of overflowing the stack on hostile input.
 
 use std::fmt::Write as _;
 
@@ -36,6 +39,10 @@ pub enum Json {
     /// An object; insertion order is preserved (small objects, linear scan).
     Obj(Vec<(String, Json)>),
 }
+
+/// Deepest array/object nesting [`parse`] accepts; no protocol message
+/// comes close.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parse failure: byte offset plus a description.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -225,6 +232,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -238,6 +246,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -273,8 +283,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.expect("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.expect("false").map(|()| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.error("unexpected character")),
             None => Err(self.error("unexpected end of input")),
@@ -385,6 +395,21 @@ impl<'a> Parser<'a> {
             u32::from_str_radix(hex, 16).map_err(|_| self.error("invalid unicode escape"))?;
         self.pos += 4;
         Ok(code)
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -538,6 +563,20 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let hostile = "[".repeat(100_000);
+        let err = parse(&hostile).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert_eq!(parse(&deepest).unwrap().render(), deepest);
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+        let too_deep = format!("[{deepest}]");
+        assert!(parse(&too_deep).is_err());
+        assert!(parse(&format!(r#"{{"a":{objects}}}"#)).is_err());
     }
 
     #[test]

@@ -138,6 +138,14 @@ fn errors_are_error_responses_and_the_connection_survives() {
         .simple_query("SELECT SUM(nope) FROM companies")
         .unwrap_err();
     assert_eq!(err.sqlstate, "42703", "{err}");
+    // 50 000 parentheses: refused at the nesting bound, not a stack overflow.
+    let deep = format!(
+        "SELECT SUM(employees) FROM companies WHERE {}employees > 1{}",
+        "(".repeat(50_000),
+        ")".repeat(50_000)
+    );
+    let err = pg.simple_query(&deep).unwrap_err();
+    assert_eq!(err.sqlstate, "42601", "{err}");
 
     // Empty query: a clean empty response.
     let empty = pg.simple_query("   ").unwrap();
@@ -184,5 +192,110 @@ fn pgwire_front_is_off_by_default() {
     assert_eq!(handle.pgwire_addr(), None);
     let mut json = Client::connect(handle.addr()).unwrap();
     assert_eq!(json.server_info().unwrap().fronts, vec!["json".to_string()]);
+    handle.shutdown();
+}
+
+/// Ten companies seen by four workers, seven of them once: Chao92 opens a
+/// real search box, so the Monte-Carlo panel row runs Algorithm 3.
+const SPARSE_CSV: &str = "\
+worker,company,employees,state
+0,A,1000,CA
+0,B,2000,CA
+0,C,300,WA
+0,D,4000,WA
+0,E,500,CA
+1,A,1000,CA
+1,B,2000,CA
+1,F,600,WA
+1,G,7000,CA
+2,A,1000,CA
+2,C,300,WA
+2,H,800,WA
+3,A,1000,CA
+3,I,900,CA
+3,J,10000,WA
+";
+
+/// A fifth worker re-observes four singletons: no new entity and no new
+/// value, so the observed SUM stays put while the frequency ladder — and
+/// with it N̂_MC — moves.
+const REOBSERVE_CSV: &str = "\
+worker,company,employees,state
+4,D,4000,WA
+4,E,500,CA
+4,F,600,WA
+4,G,7000,CA
+";
+
+fn load(addr: std::net::SocketAddr, csv: &str, append: bool) {
+    let mut client = Client::connect(addr).unwrap();
+    let response = client
+        .request(&Request::LoadCsv(LoadCsvRequest {
+            table: "companies".into(),
+            columns: vec![
+                ("company".into(), "str".into()),
+                ("employees".into(), "float".into()),
+                ("state".into(), "str".into()),
+            ],
+            entity_column: "company".into(),
+            source_column: "worker".into(),
+            csv: csv.into(),
+            append,
+        }))
+        .unwrap();
+    assert!(matches!(response, Response::Loaded { .. }), "{response:?}");
+}
+
+/// The panel rows for `sql` recomputed from scratch through the JSON front
+/// (`cached: false`), bypassing every frozen selection.
+fn uncached_panel(addr: std::net::SocketAddr, sql: &str) -> Vec<Vec<Option<String>>> {
+    let mut client = Client::connect(addr).unwrap();
+    let replies: Vec<(&'static str, _)> = uu_core::engine::EstimatorKind::all()
+        .into_iter()
+        .map(|kind| {
+            (
+                kind.name(),
+                client.query(sql, &[kind.name()], false).unwrap(),
+            )
+        })
+        .collect();
+    panel_rows(&replies).1
+}
+
+fn montecarlo_row(rows: &[Vec<Option<String>>]) -> &Vec<Option<String>> {
+    rows.iter()
+        .find(|row| row[0].as_deref() == Some("monte-carlo"))
+        .expect("the panel has a monte-carlo row")
+}
+
+#[test]
+fn an_append_never_serves_a_stale_montecarlo_count() {
+    let handle = spawn_with_pgwire();
+    load(handle.addr(), SPARSE_CSV, false);
+    let sql = "SELECT SUM(employees) FROM companies";
+    let mut pg = PgClient::connect(handle.pgwire_addr().unwrap()).unwrap();
+
+    // Twice: the second panel reads the memoized N̂_MC off the frozen
+    // selection, and must still equal the from-scratch answer.
+    let before = pg.simple_query(sql).unwrap();
+    assert_eq!(before.rows, uncached_panel(handle.addr(), sql));
+    assert_eq!(pg.simple_query(sql).unwrap().rows, before.rows);
+
+    load(handle.addr(), REOBSERVE_CSV, true);
+    let after = pg.simple_query(sql).unwrap();
+    assert_eq!(after.rows, uncached_panel(handle.addr(), sql));
+    let (was, now) = (montecarlo_row(&before.rows), montecarlo_row(&after.rows));
+    assert_eq!(
+        was[2], now[2],
+        "re-observations leave the observed SUM alone"
+    );
+    assert_ne!(was[1], now[1], "the Monte-Carlo estimate moved with N̂_MC");
+
+    // The post-append panel was served by the refrozen selection, not a
+    // cold rebuild, so it is the refreeze that started with an empty slot.
+    let mut json = Client::connect(handle.addr()).unwrap();
+    if json.stats().unwrap().incremental.snapshots_refrozen >= 1 {
+        assert!(json.query(sql, &["monte-carlo"], true).unwrap().cache_hit);
+    }
     handle.shutdown();
 }

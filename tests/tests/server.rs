@@ -504,6 +504,11 @@ fn malformed_and_invalid_requests_answer_with_codes_not_disconnects() {
         client.send_raw(r#"{"op":"fly_to_the_moon"}"#).unwrap(),
         ErrorCode::MalformedRequest,
     );
+    // 2 MB of `[`: refused at the nesting bound, not a stack overflow.
+    expect_code(
+        client.send_raw(&"[".repeat(2 << 20)).unwrap(),
+        ErrorCode::MalformedRequest,
+    );
     expect_code(
         client
             .send_raw(r#"{"op":"query","sql":"SELEKT stuff"}"#)
