@@ -55,8 +55,9 @@ pub struct IncrementalStats {
     pub permutation_merges: u64,
     /// Per-universe profile snapshots re-frozen from delta rows alone.
     pub snapshots_refrozen: u64,
-    /// Cached selections dropped to a rebuild instead (incremental mode
-    /// off, stale version, or a grouped selection with a touched row).
+    /// Cached selections dropped to a rebuild instead (stale version, a
+    /// predicate that no longer evaluates, or a grouped selection with a
+    /// touched row).
     pub fallback_rebuilds: u64,
 }
 
@@ -611,25 +612,31 @@ mod tests {
     }
 
     #[test]
-    fn append_observations_with_incremental_off_counts_fallbacks() {
+    fn append_observations_with_a_pinned_projection_still_refreezes() {
         let mut catalog = Catalog::new();
         catalog.register(table("t")).unwrap();
-        catalog.get_mut("t").unwrap().set_incremental(false);
         let sql = "SELECT SUM(v) FROM t";
         let _ = catalog
             .execute_sql_cached(sql, CorrectionMethod::None)
             .unwrap();
+        // Held across the append, the pin makes the table drop its
+        // projection instead of growing it; re-freezing reads only the
+        // entities and the stored mask, so the selection still re-freezes.
+        let _pin = catalog.get("t").unwrap().projection();
         let (delta, refrozen) = catalog
             .append_observations("t", vec![(7, vec![Value::from("e9"), Value::from(9.0)])])
             .unwrap();
         assert!(!delta.incremental);
-        assert_eq!(refrozen, 0);
-        assert_eq!(catalog.incremental_stats().fallback_rebuilds, 1);
-        // Correctness is unaffected: the next query rebuilds.
+        assert_eq!(refrozen, 1);
+        assert_eq!(catalog.incremental_stats().fallback_rebuilds, 0);
+        let hits_before = catalog.cache().metrics().hits;
         let r = catalog
             .execute_sql_cached(sql, CorrectionMethod::None)
             .unwrap();
+        assert_eq!(catalog.cache().metrics().hits, hits_before + 1);
         assert_eq!(r.observed, 15.0);
+        let rebuilt = catalog.execute_sql(sql, CorrectionMethod::None).unwrap();
+        assert_eq!(r.observed.to_bits(), rebuilt.observed.to_bits());
     }
 
     #[test]

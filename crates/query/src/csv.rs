@@ -168,7 +168,9 @@ pub fn parse_csv(input: &str) -> Result<Vec<Vec<String>>, CsvError> {
 /// The header row must contain `source_column` (parsed as an unsigned
 /// integer source id) plus one column per schema column, matched by name
 /// case-insensitively; extra CSV columns are ignored. Empty fields become
-/// NULL. Returns the number of observations loaded.
+/// NULL. The document loads as one [`IntegratedTable::append_batch`]:
+/// all or nothing, so a bad row leaves the table unchanged. Returns the
+/// number of observations loaded.
 ///
 /// # Examples
 ///
@@ -189,21 +191,17 @@ pub fn load_observations(
     csv: &str,
     source_column: &str,
 ) -> Result<usize, CsvError> {
-    let schema = table.schema().clone();
-    let batch = parse_observations(&schema, csv, source_column)?;
-    let mut loaded = 0usize;
-    for (source, values) in batch {
-        table.insert_observation(source, values)?;
-        loaded += 1;
-    }
+    let batch = parse_observations(table.schema(), csv, source_column)?;
+    let loaded = batch.len();
+    table.append_batch(batch)?;
     Ok(loaded)
 }
 
 /// Parses an observation log into `(source id, record values)` pairs under
 /// `schema`, without touching a table — the shared decode step of
-/// [`load_observations`] and the server's `append_stream` path (which hands
-/// the batch to the catalog's delta-maintenance layer instead of inserting
-/// row by row). Header rules match [`load_observations`] exactly.
+/// [`load_observations`] and the server's `load_csv` / `append_stream`
+/// paths (which validate and log the batch before applying it). Header
+/// rules match [`load_observations`] exactly.
 pub fn parse_observations(
     schema: &Schema,
     csv: &str,
@@ -403,6 +401,21 @@ worker,company,employees
             load_observations(&mut table, "worker,company,employees\n0,A,abc\n", "worker"),
             Err(CsvError::BadField { .. })
         ));
+    }
+
+    #[test]
+    fn a_rejected_row_loads_nothing() {
+        let mut table = tech_table();
+        load_observations(&mut table, "worker,company,employees\n0,A,1\n", "worker").unwrap();
+        let (len, version) = (table.len(), table.version());
+        // Rows 1–2 are valid; row 3 has an empty (NULL) entity key.
+        let csv = "worker,company,employees\n0,B,2\n1,C,3\n1,,4\n";
+        assert!(matches!(
+            load_observations(&mut table, csv, "worker"),
+            Err(CsvError::Table(TableError::NullKey))
+        ));
+        assert_eq!((table.len(), table.version()), (len, version));
+        assert!(table.entity(&Value::from("B")).is_none());
     }
 
     #[test]

@@ -493,20 +493,18 @@ pub fn selection(
 /// rows passing the predicate become new items (appended at the end of
 /// their universe, where a rebuild would put them), and every affected
 /// snapshot's statistics re-freeze through
-/// [`ProfileSnapshot::refreeze`]. Returns `None` when the selection cannot
-/// be maintained incrementally — the append ran in fallback mode, the
-/// predicate no longer evaluates, or a grouped selection had a touched row
-/// inside it — in which case the caller drops the entry and the next query
-/// rebuilds. A `Some` result is bit-for-bit what a from-scratch freeze at
-/// the new version would produce.
+/// [`ProfileSnapshot::refreeze`]. Reads only the table's entities and the
+/// stored mask, never its columnar projection, so it works whether or not
+/// the append grew the projection. Returns `None` when the selection cannot
+/// be maintained incrementally — the predicate no longer evaluates, or a
+/// grouped selection had a touched row inside it — in which case the caller
+/// drops the entry and the next query rebuilds. A `Some` result is
+/// bit-for-bit what a from-scratch freeze at the new version would produce.
 pub fn refreeze_selection(
     table: &IntegratedTable,
     selection: &CachedSelection,
     delta: &AppendDelta,
 ) -> Option<CachedSelection> {
-    if !delta.incremental {
-        return None;
-    }
     let schema = table.schema();
     let attr_idx = match &selection.column {
         Some(name) => Some(schema.index_of(name)?),

@@ -46,13 +46,19 @@ impl std::error::Error for RecordError {}
 impl Record {
     /// Validates `values` against `schema` and builds the record.
     pub fn new(schema: &Schema, values: Vec<Value>) -> Result<Self, RecordError> {
+        Record::check(schema, &values)?;
+        Ok(Record { values })
+    }
+
+    /// The validation [`Record::new`] performs, without building the record.
+    pub(crate) fn check(schema: &Schema, values: &[Value]) -> Result<(), RecordError> {
         if values.len() != schema.len() {
             return Err(RecordError::ArityMismatch {
                 expected: schema.len(),
                 got: values.len(),
             });
         }
-        for (col, value) in schema.columns().iter().zip(&values) {
+        for (col, value) in schema.columns().iter().zip(values) {
             if !col.ty.accepts(value) {
                 return Err(RecordError::TypeMismatch {
                     column: col.name.clone(),
@@ -60,7 +66,12 @@ impl Record {
                 });
             }
         }
-        Ok(Record { values })
+        Ok(())
+    }
+
+    /// Builds a record from values that already passed [`Record::check`].
+    pub(crate) fn checked(values: Vec<Value>) -> Self {
+        Record { values }
     }
 
     /// The value at column index `idx`.

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use crate::columnar::{self, GroupKey, Projection};
 use crate::predicate::{Predicate, PredicateError};
@@ -109,17 +109,11 @@ pub struct AppendDelta {
     pub touched: Vec<u32>,
     /// Sort permutations absorbed by merge instead of a re-sort.
     pub perm_merges: u64,
-    /// The append ran in incremental mode (per-table flag AND the
-    /// `UU_INCREMENTAL` environment knob): warm state was maintained in
-    /// place rather than dropped.
+    /// The cached columnar projection was extended in place rather than
+    /// dropped (also true when none was cached). False only when an
+    /// outside reference held the projection across the append, so the
+    /// next read rebuilds it.
     pub incremental: bool,
-}
-
-/// Process-wide `UU_INCREMENTAL` knob, read once: any value other than `0`
-/// (including unset) leaves incremental maintenance on.
-fn incremental_env() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| std::env::var("UU_INCREMENTAL").map_or(true, |v| v != "0"))
 }
 
 /// Process-unique table-instance ids, so profile-cache keys can tell two
@@ -160,10 +154,6 @@ pub struct IntegratedTable {
     projection_builds: AtomicU64,
     /// Reads served by the cached projection.
     projection_reuses: AtomicU64,
-    /// Per-table incremental-maintenance flag (ANDed with the
-    /// `UU_INCREMENTAL` environment knob). Off = appends take the
-    /// drop-and-rebuild path, which serves as the parity oracle.
-    incremental: bool,
 }
 
 impl Clone for IntegratedTable {
@@ -183,7 +173,6 @@ impl Clone for IntegratedTable {
             projection: Mutex::new(None),
             projection_builds: AtomicU64::new(0),
             projection_reuses: AtomicU64::new(0),
-            incremental: self.incremental,
         }
     }
 }
@@ -210,7 +199,6 @@ impl IntegratedTable {
             projection: Mutex::new(None),
             projection_builds: AtomicU64::new(0),
             projection_reuses: AtomicU64::new(0),
-            incremental: true,
         })
     }
 
@@ -257,17 +245,12 @@ impl IntegratedTable {
     ) -> Result<Self, TableError> {
         let mut table = IntegratedTable::new(name, schema, key_column)?;
         for (values, source_counts) in entities {
-            let record = Record::new(&table.schema, values)?;
-            let key_value = record.value(table.key_col);
-            if key_value.is_null() {
-                return Err(TableError::NullKey);
-            }
-            let key = key_value.entity_key();
+            let key = table.checked_key(&values)?.entity_key();
             if table.index.contains_key(&key) {
                 return Err(TableError::DuplicateEntity(key));
             }
             table.entities.push(Entity {
-                record,
+                record: Record::checked(values),
                 source_counts,
             });
             table.index.insert(key, table.entities.len() - 1);
@@ -276,27 +259,39 @@ impl IntegratedTable {
         Ok(table)
     }
 
-    /// Records that `source_id` mentioned the entity described by `values`.
-    ///
-    /// If the entity (by key column) is new, the record is stored; otherwise
-    /// only the lineage is updated (first record wins — the paper assumes
-    /// upstream fusion resolved value conflicts).
-    pub fn insert_observation(
-        &mut self,
-        source_id: u32,
-        values: Vec<Value>,
-    ) -> Result<(), TableError> {
-        let record = Record::new(&self.schema, values)?;
-        let key_value = record.value(self.key_col);
-        if key_value.is_null() {
+    /// Validates one observation's values against the schema and returns
+    /// its entity-key value, which must not be NULL.
+    fn checked_key<'v>(&self, values: &'v [Value]) -> Result<&'v Value, TableError> {
+        Record::check(&self.schema, values)?;
+        let key = &values[self.key_col];
+        if key.is_null() {
             return Err(TableError::NullKey);
         }
-        let key = key_value.entity_key();
+        Ok(key)
+    }
+
+    /// Checks every observation of `batch` the way [`IntegratedTable::append_batch`]
+    /// does, without applying anything: `Ok` means the append will be
+    /// accepted, an error is the one the append would return. Lets a
+    /// caller log a batch durably only once it is known to apply.
+    pub fn validate_batch(&self, batch: &[(u32, Vec<Value>)]) -> Result<(), TableError> {
+        batch
+            .iter()
+            .try_for_each(|(_, values)| self.checked_key(values).map(drop))
+    }
+
+    /// The lineage step shared by every mutation: records that `source_id`
+    /// observed the (already validated) row `values` and returns the
+    /// entity's row index. A new key stores the record; a known one only
+    /// bumps its lineage (first record wins — the paper assumes upstream
+    /// fusion resolved value conflicts).
+    fn observe(&mut self, source_id: u32, values: Vec<Value>) -> usize {
+        let key = values[self.key_col].entity_key();
         let idx = match self.index.get(&key) {
             Some(&i) => i,
             None => {
                 self.entities.push(Entity {
-                    record,
+                    record: Record::checked(values),
                     source_counts: Vec::new(),
                 });
                 let i = self.entities.len() - 1;
@@ -312,6 +307,21 @@ impl IntegratedTable {
             Ok(pos) => entity.source_counts[pos].1 += 1,
             Err(pos) => entity.source_counts.insert(pos, (source_id, 1)),
         }
+        idx
+    }
+
+    /// Records that `source_id` mentioned the entity described by `values`.
+    ///
+    /// If the entity (by key column) is new, the record is stored; otherwise
+    /// only the lineage is updated (first record wins). Unlike
+    /// [`IntegratedTable::append_batch`], this drops the cached projection.
+    pub fn insert_observation(
+        &mut self,
+        source_id: u32,
+        values: Vec<Value>,
+    ) -> Result<(), TableError> {
+        self.checked_key(&values)?;
+        self.observe(source_id, values);
         self.version += 1;
         // Drop the now-stale projection eagerly (reads would reject it by
         // version anyway; this just frees the buffers sooner).
@@ -327,83 +337,52 @@ impl IntegratedTable {
     /// the delta by sorted merge. The returned [`AppendDelta`] tells
     /// downstream caches (profile snapshots, selection masks) what changed.
     ///
-    /// The batch is validated in full before anything is applied: on error
-    /// the table is unchanged. With incremental maintenance off (per-table
-    /// flag or `UU_INCREMENTAL=0`) the projection is dropped instead, the
-    /// pre-existing overwrite behavior.
+    /// Every load and append goes through here. The batch is validated in
+    /// full (see [`IntegratedTable::validate_batch`]) before anything is
+    /// applied: on error the table is unchanged. Only when an outside
+    /// reference holds the projection across the append is it dropped
+    /// instead of grown; the next read rebuilds it.
     pub fn append_batch(
         &mut self,
         batch: Vec<(u32, Vec<Value>)>,
     ) -> Result<AppendDelta, TableError> {
-        let mut staged = Vec::with_capacity(batch.len());
-        for (source_id, values) in batch {
-            let record = Record::new(&self.schema, values)?;
-            if record.value(self.key_col).is_null() {
-                return Err(TableError::NullKey);
-            }
-            let key = record.value(self.key_col).entity_key();
-            staged.push((source_id, record, key));
-        }
+        self.validate_batch(&batch)?;
         let version_before = self.version;
         let rows_before = self.entities.len();
-        let observations = staged.len() as u64;
         let mut touched: Vec<u32> = Vec::new();
-        for (source_id, record, key) in staged {
-            let idx = match self.index.get(&key) {
-                Some(&i) => {
-                    if i < rows_before {
-                        touched.push(i as u32);
-                    }
-                    i
-                }
-                None => {
-                    self.entities.push(Entity {
-                        record,
-                        source_counts: Vec::new(),
-                    });
-                    let i = self.entities.len() - 1;
-                    self.index.insert(key, i);
-                    i
-                }
-            };
-            let entity = &mut self.entities[idx];
-            match entity
-                .source_counts
-                .binary_search_by_key(&source_id, |&(s, _)| s)
-            {
-                Ok(pos) => entity.source_counts[pos].1 += 1,
-                Err(pos) => entity.source_counts.insert(pos, (source_id, 1)),
+        self.version += batch.len() as u64;
+        for (source_id, values) in batch {
+            let row = self.observe(source_id, values);
+            if row < rows_before {
+                touched.push(row as u32);
             }
         }
         touched.sort_unstable();
         touched.dedup();
-        self.version += observations;
-        let incremental = self.incremental && incremental_env();
         let mut perm_merges = 0u64;
         let guard = self.projection.get_mut().expect("projection lock");
-        let grown = incremental
-            && match guard.as_mut() {
-                Some(arc) if arc.version() == version_before => {
-                    // During an append the table is held exclusively, so the
-                    // cache's Arc is normally the only one left; a surviving
-                    // outside reference forces a rebuild-on-next-read.
-                    match Arc::get_mut(arc) {
-                        Some(proj) => {
-                            perm_merges = proj.extend_for_append(
-                                &self.schema,
-                                &self.entities,
-                                &touched,
-                                self.version,
-                            ) as u64;
-                            true
-                        }
-                        None => false,
+        let grown = match guard.as_mut() {
+            Some(arc) if arc.version() == version_before => {
+                // During an append the table is held exclusively, so the
+                // cache's Arc is normally the only one left; a surviving
+                // outside reference forces a rebuild-on-next-read.
+                match Arc::get_mut(arc) {
+                    Some(proj) => {
+                        perm_merges = proj.extend_for_append(
+                            &self.schema,
+                            &self.entities,
+                            &touched,
+                            self.version,
+                        ) as u64;
+                        true
                     }
+                    None => false,
                 }
-                Some(_) => false,
-                // Nothing cached: nothing to grow, nothing stale to drop.
-                None => true,
-            };
+            }
+            Some(_) => false,
+            // Nothing cached: nothing to grow, nothing stale to drop.
+            None => true,
+        };
         if !grown {
             *guard = None;
         }
@@ -414,20 +393,8 @@ impl IntegratedTable {
             rows_after: self.entities.len(),
             touched,
             perm_merges,
-            incremental,
+            incremental: grown,
         })
-    }
-
-    /// Whether appends to this table maintain warm state in place: the
-    /// per-table flag ANDed with the process-wide `UU_INCREMENTAL` knob.
-    pub fn incremental_enabled(&self) -> bool {
-        self.incremental && incremental_env()
-    }
-
-    /// Turns incremental append maintenance on or off for this table. Off,
-    /// appends drop warm state like any other mutation — the parity oracle.
-    pub fn set_incremental(&mut self, on: bool) {
-        self.incremental = on;
     }
 
     /// The entity at row index `row` (table order).
@@ -1222,15 +1189,17 @@ mod tests {
     fn append_batch_validates_before_applying_anything() {
         let mut t = tech_table();
         let before = t.version();
-        let err = t
-            .append_batch(vec![
-                (
-                    0,
-                    vec![Value::from("G"), Value::from(1.0), Value::from("TX")],
-                ),
-                (0, vec![Value::Null, Value::from(2.0), Value::from("TX")]),
-            ])
-            .unwrap_err();
+        let batch = vec![
+            (
+                0,
+                vec![Value::from("G"), Value::from(1.0), Value::from("TX")],
+            ),
+            (0, vec![Value::Null, Value::from(2.0), Value::from("TX")]),
+        ];
+        // The staging half alone reports the error the append returns.
+        assert_eq!(t.validate_batch(&batch), Err(TableError::NullKey));
+        assert_eq!(t.validate_batch(&batch[..1]), Ok(()));
+        let err = t.append_batch(batch).unwrap_err();
         assert_eq!(err, TableError::NullKey);
         assert_eq!(t.version(), before);
         assert_eq!(t.len(), 3);
@@ -1238,11 +1207,12 @@ mod tests {
     }
 
     #[test]
-    fn append_batch_with_incremental_off_drops_warm_state() {
+    fn append_batch_with_a_pinned_projection_drops_warm_state() {
         let mut t = tech_table();
-        t.set_incremental(false);
-        assert!(!t.incremental_enabled());
         t.warm_projection(Some("employees")).unwrap();
+        // An outside reference held across the append keeps the projection
+        // from growing in place: the append drops it instead.
+        let _pin = t.projection();
         let delta = t
             .append_batch(vec![(
                 4,

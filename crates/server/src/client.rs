@@ -62,7 +62,8 @@ pub struct AppendOutcome {
     pub entities: u64,
     /// Cached selections re-frozen in place by this append.
     pub refrozen: u64,
-    /// Whether the delta path ran (false means drop-and-rebuild fallback).
+    /// Whether the projection grew in place (false means it was dropped
+    /// and the next read rebuilds it).
     pub incremental: bool,
 }
 

@@ -956,7 +956,7 @@ wire_record! {
         /// Cached selections re-frozen in place instead of evicted.
         pub snapshots_refrozen: u64,
         /// Cached selections that could not be re-frozen and fell back to
-        /// drop-and-rebuild (incremental off, stale version, touched group…).
+        /// drop-and-rebuild (stale version, touched grouped row…).
         pub fallback_rebuilds: u64,
     }
 }
@@ -1161,9 +1161,9 @@ wire_ops! {
             entities: u64,
             /// Cached selections re-frozen in place by this append.
             refrozen: u64,
-            /// Whether the delta path ran (false means drop-and-rebuild
-            /// fallback: incremental maintenance disabled for the table or via
-            /// `UU_INCREMENTAL=0`).
+            /// Whether the table's columnar projection grew in place (false
+            /// means it was dropped and the next read rebuilds it; cached
+            /// selections re-freeze either way).
             incremental: bool,
         } = "append_stream",
         /// Answer to [`Request::Warm`].

@@ -50,9 +50,10 @@ use uu_query::exec::{CorrectionMethod, GroupResult, SelectionSnapshots};
 use uu_query::query::AggregateQuery;
 use uu_query::schema::{ColumnType, Schema};
 use uu_query::sql::parse;
-use uu_query::table::IntegratedTable;
+use uu_query::table::{AppendDelta, IntegratedTable, TableError};
 use uu_query::value::Value;
-use uu_store::Store;
+use uu_store::record::Batch;
+use uu_store::{Store, StoreError};
 
 /// Default bound on one inbound frame (a JSON request line or a pgwire
 /// message body). Whole CSV documents travel in one frame, so the default is
@@ -777,35 +778,16 @@ impl Service {
             .copied()
             .map(correction_for)
             .unwrap_or(CorrectionMethod::None);
-        let rows = uu_query::exec::results_from_selection(&stmt.query, &snapshots, method);
-        let estimates = snapshots
-            .iter()
-            .map(|(_, snapshot)| {
-                if session.kinds.is_empty() {
-                    Vec::new()
-                } else {
-                    session
-                        .session
-                        .run_profiled(&snapshot.profile())
-                        .iter()
-                        .map(WireEstimate::from_named)
-                        .collect()
-                }
-            })
-            .collect();
-        let mut out = {
-            let _span = obs::span(Stage::Serialize);
-            reply(
-                stmt.sql.clone(),
-                cache_hit,
-                0,
-                stmt.query.group_by.is_some(),
-                rows,
-                estimates,
-            )
-        };
-        out.elapsed_us = start.elapsed().as_micros() as u64;
-        Ok(out)
+        let estimators = (!session.kinds.is_empty()).then_some(&session.session);
+        Ok(answer(
+            stmt.sql.clone(),
+            &stmt.query,
+            &snapshots,
+            cache_hit,
+            estimators,
+            method,
+            start,
+        ))
     }
 
     // -----------------------------------------------------------------------
@@ -833,7 +815,6 @@ impl Service {
             .copied()
             .map(correction_for)
             .unwrap_or(CorrectionMethod::None);
-        let grouped = query.group_by.is_some();
 
         // Reuse the connection's session when the estimator set is unchanged.
         if !kinds.is_empty()
@@ -847,188 +828,148 @@ impl Service {
         let session = (!kinds.is_empty()).then(|| &ctx.adhoc.as_ref().expect("built above").1);
 
         let catalog = self.catalog.read().expect("catalog lock");
-        let (rows, estimates, cache_hit): (Vec<GroupResult>, Vec<Vec<WireEstimate>>, bool) =
-            if request.cached {
-                // Fetch-once: exactly one cache lookup per request. The
-                // selection's snapshots feed both the corrected aggregate
-                // (the same computation step `execute_sql_grouped_cached`
-                // runs) and the session fan-out, so cache counters honestly
-                // record one miss per cold query and one hit per repeat.
-                let (snapshots, hit) = catalog
-                    .selection_query(&query)
-                    .map_err(|e| WireError::from_exec(&e))?;
-                let rows = uu_query::exec::results_from_selection(&query, &snapshots, method);
-                let estimates = snapshots
-                    .iter()
-                    .map(|(_, snapshot)| match session {
-                        Some(session) => session
-                            .run_profiled(&snapshot.profile())
-                            .iter()
-                            .map(WireEstimate::from_named)
-                            .collect(),
-                        None => Vec::new(),
-                    })
-                    .collect();
-                (rows, estimates, hit)
-            } else {
-                let rows = catalog
-                    .execute_sql_grouped(&request.sql, method)
-                    .map_err(|e| WireError::from_exec(&e))?;
-                let table = catalog
-                    .get(&query.table)
-                    .ok_or_else(|| WireError::new(ErrorCode::UnknownTable, &query.table))?;
-                let universes: Vec<(Value, uu_core::sample::SampleView)> =
-                    match query.group_by.as_deref() {
-                        Some(group_column) => table
-                            .grouped_sample_views(
-                                query.column.as_deref(),
-                                &query.predicate,
-                                group_column,
-                            )
-                            .map_err(|e| WireError::new(ErrorCode::Table, e.to_string()))?,
-                        None => vec![(
-                            Value::Null,
-                            table
-                                .sample_view(query.column.as_deref(), &query.predicate)
-                                .map_err(|e| WireError::new(ErrorCode::Table, e.to_string()))?,
-                        )],
-                    };
-                // Pair estimates with result rows **by group key**, not by
-                // position: both derive from the same deterministic grouping
-                // today, but the reply must not silently mis-attribute Δs if
-                // that ever changes. Keys compare with `same_key`, not
-                // derived PartialEq — a Float(NaN) group key must match its
-                // own universe.
-                let estimates = rows
-                    .iter()
-                    .map(|row| {
-                        let view = universes
-                            .iter()
-                            .find(|(key, _)| same_key(key, &row.key))
-                            .map(|(_, view)| view)
-                            .expect("every result row has a matching universe");
-                        match session {
-                            Some(session) => session
-                                .run(view)
-                                .iter()
-                                .map(WireEstimate::from_named)
-                                .collect(),
-                            None => Vec::new(),
-                        }
-                    })
-                    .collect();
-                (rows, estimates, false)
-            };
-        let mut out = {
-            let _span = obs::span(Stage::Serialize);
-            reply(request.sql.clone(), cache_hit, 0, grouped, rows, estimates)
+        if request.cached {
+            // Fetch-once: exactly one cache lookup per request. The
+            // selection's snapshots feed both the corrected aggregate and
+            // the session fan-out, so cache counters honestly record one
+            // miss per cold query and one hit per repeat.
+            let (snapshots, hit) = catalog
+                .selection_query(&query)
+                .map_err(|e| WireError::from_exec(&e))?;
+            return Ok(answer(
+                request.sql.clone(),
+                &query,
+                &snapshots,
+                hit,
+                session,
+                method,
+                start,
+            ));
+        }
+        let rows = catalog
+            .execute_sql_grouped(&request.sql, method)
+            .map_err(|e| WireError::from_exec(&e))?;
+        let table = catalog
+            .get(&query.table)
+            .ok_or_else(|| WireError::new(ErrorCode::UnknownTable, &query.table))?;
+        let universes: Vec<(Value, uu_core::sample::SampleView)> = match query.group_by.as_deref() {
+            Some(group_column) => table
+                .grouped_sample_views(query.column.as_deref(), &query.predicate, group_column)
+                .map_err(|e| WireError::new(ErrorCode::Table, e.to_string()))?,
+            None => vec![(
+                Value::Null,
+                table
+                    .sample_view(query.column.as_deref(), &query.predicate)
+                    .map_err(|e| WireError::new(ErrorCode::Table, e.to_string()))?,
+            )],
         };
-        // Measured after serialization so a traced reply's span tree tiles
-        // the whole reported service time.
-        out.elapsed_us = start.elapsed().as_micros() as u64;
-        Ok(out)
+        // Pair estimates with result rows **by group key**, not by
+        // position: both derive from the same deterministic grouping
+        // today, but the reply must not silently mis-attribute Δs if
+        // that ever changes. Keys compare with `same_key`, not derived
+        // PartialEq — a Float(NaN) group key must match its own universe.
+        let estimates = rows
+            .iter()
+            .map(|row| {
+                let view = universes
+                    .iter()
+                    .find(|(key, _)| same_key(key, &row.key))
+                    .map(|(_, view)| view)
+                    .expect("every result row has a matching universe");
+                match session {
+                    Some(session) => session
+                        .run(view)
+                        .iter()
+                        .map(WireEstimate::from_named)
+                        .collect(),
+                    None => Vec::new(),
+                }
+            })
+            .collect();
+        Ok(reply(
+            request.sql.clone(),
+            false,
+            query.group_by.is_some(),
+            rows,
+            estimates,
+            start,
+        ))
     }
 
     // -----------------------------------------------------------------------
     // Admin verbs
     // -----------------------------------------------------------------------
 
-    /// Loads a CSV **atomically**: a fresh load is ingested into a staged
-    /// table and only registered once the whole document succeeded; an
-    /// `append` is parsed into a validated batch and applied through the
-    /// catalog's delta path ([`Catalog::append_observations`]), which stages
-    /// the batch the same way — a bad row half-way through a document can
-    /// never leave a partially-loaded table behind, so a corrected retry
-    /// with the same request is always safe. Routing the append through the
-    /// delta path keeps warm state alive: projections grow in place and
-    /// cached selections re-freeze instead of being evicted.
+    /// Loads a CSV **atomically**: the document is parsed into one batch
+    /// and validated in full before it is logged or applied, so a bad row
+    /// half-way through never leaves a partially-loaded table (or a WAL
+    /// record) behind, and a corrected retry with the same request is
+    /// always safe. A fresh load applies the batch to a staged table that
+    /// is registered only once it holds the whole document; an `append`
+    /// rides the same path as `append_stream` ([`append_csv`]), keeping warm
+    /// state alive: projections grow in place and cached selections
+    /// re-freeze instead of being evicted.
     fn load_csv(&self, load: &LoadCsvRequest) -> Result<Response, WireError> {
         let store = self.store();
         let mut catalog = self.catalog.write().expect("catalog lock");
-        let exists = catalog.get(&load.table).is_some();
-        if exists && !load.append {
-            return Err(WireError::new(
-                ErrorCode::DuplicateTable,
-                format!(
-                    "table {:?} is already registered (set \"append\": true to extend it)",
-                    load.table
-                ),
-            ));
-        }
-        if exists {
-            let table = catalog.get(&load.table).expect("checked above");
-            let schema = table.schema().clone();
-            let version_before = table.version();
-            let batch = parse_observations(&schema, &load.csv, &load.source_column)
-                .map_err(|e| WireError::new(ErrorCode::Csv, e.to_string()))?;
-            let rows = batch.len() as u64;
-            // WAL before the in-memory mutation: a crash between the two
-            // replays the batch; a crash before the write loses an
-            // unacknowledged request, never a committed one.
-            if let Some(store) = &store {
-                store
-                    .log_append(&load.table, version_before, &batch)
-                    .map_err(storage_error)?;
+        let delta = if catalog.get(&load.table).is_some() {
+            if !load.append {
+                return Err(WireError::new(
+                    ErrorCode::DuplicateTable,
+                    format!(
+                        "table {:?} is already registered (set \"append\": true to extend it)",
+                        load.table
+                    ),
+                ));
             }
-            let (delta, _refrozen) = catalog
-                .append_observations(&load.table, batch)
-                .map_err(|e| WireError::from_exec(&e))?;
-            if let Some(store) = &store {
-                if let Err(e) = store.maybe_checkpoint(&catalog, rows) {
-                    eprintln!("uu-server: background checkpoint failed: {e}");
-                }
-            }
-            return Ok(Response::Loaded {
-                table: load.table.clone(),
-                observations: delta.version_after - delta.version_before,
-                entities: delta.rows_after as u64,
-            });
-        }
-        let columns = load
-            .columns
-            .iter()
-            .map(|(name, ty)| Ok((name.clone(), parse_column_type(ty)?)))
-            .collect::<Result<Vec<_>, WireError>>()?;
-        let mut staged = IntegratedTable::new(
-            &load.table,
-            Schema::new(columns.clone()),
-            &load.entity_column,
-        )
-        .map_err(|e| WireError::new(ErrorCode::Table, e.to_string()))?;
-        let batch = parse_observations(staged.schema(), &load.csv, &load.source_column)
-            .map_err(|e| WireError::new(ErrorCode::Csv, e.to_string()))?;
-        for (source, values) in &batch {
-            // Same staging `load_observations` performs, kept explicit so
-            // the fully validated batch is in hand for the WAL record
-            // (`CsvError::Table` displays as the inner error, so the error
-            // text is unchanged).
-            staged
-                .insert_observation(*source, values.clone())
-                .map_err(|e| WireError::new(ErrorCode::Csv, e.to_string()))?;
-        }
-        let observations = batch.len() as u64;
-        let entities = staged.len() as u64;
-        // Log only after every row validated: the WAL holds committed
-        // batches, never half-loads.
-        if let Some(store) = &store {
-            store
-                .log_fresh(&load.table, &columns, &load.entity_column, &batch)
-                .map_err(storage_error)?;
-        }
-        catalog
-            .register(staged)
-            .map_err(|e| WireError::new(ErrorCode::DuplicateTable, e.to_string()))?;
+            append_csv(
+                &mut catalog,
+                store.as_deref(),
+                &load.table,
+                &load.source_column,
+                &load.csv,
+            )?
+            .0
+        } else {
+            let columns = load
+                .columns
+                .iter()
+                .map(|(name, ty)| Ok((name.clone(), parse_column_type(ty)?)))
+                .collect::<Result<Vec<_>, WireError>>()?;
+            let mut staged = IntegratedTable::new(
+                &load.table,
+                Schema::new(columns.clone()),
+                &load.entity_column,
+            )
+            .map_err(|e| WireError::new(ErrorCode::Table, e.to_string()))?;
+            // A rejected row is a CSV error here, as `load_observations`
+            // reports it (`CsvError::Table` displays as the inner error).
+            let rejected = |e: TableError| WireError::new(ErrorCode::Csv, e.to_string());
+            let batch = logged_batch(
+                &staged,
+                store.as_deref(),
+                &load.csv,
+                &load.source_column,
+                rejected,
+                |store, batch| store.log_fresh(&load.table, &columns, &load.entity_column, batch),
+            )?;
+            let delta = staged.append_batch(batch).map_err(rejected)?;
+            catalog
+                .register(staged)
+                .map_err(|e| WireError::new(ErrorCode::DuplicateTable, e.to_string()))?;
+            delta
+        };
         Ok(Response::Loaded {
             table: load.table.clone(),
-            observations,
-            entities,
+            observations: delta.version_after - delta.version_before,
+            entities: delta.rows_after as u64,
         })
     }
 
     /// Appends an observation batch to an existing table through the
-    /// incremental-maintenance path. The batch is validated in full before
-    /// any row is applied (same staging as `load_csv`), so a failed append
-    /// leaves the table untouched.
+    /// incremental-maintenance path ([`append_csv`]). The batch is
+    /// validated in full before it is logged or applied, so a failed append
+    /// leaves the table and the WAL untouched.
     fn append_stream(
         &self,
         table: &str,
@@ -1037,28 +978,8 @@ impl Service {
     ) -> Result<Response, WireError> {
         let store = self.store();
         let mut catalog = self.catalog.write().expect("catalog lock");
-        let existing = catalog
-            .get(table)
-            .ok_or_else(|| WireError::new(ErrorCode::UnknownTable, table))?;
-        let schema = existing.schema().clone();
-        let version_before = existing.version();
-        let batch = parse_observations(&schema, csv, source_column)
-            .map_err(|e| WireError::new(ErrorCode::Csv, e.to_string()))?;
-        let rows = batch.len() as u64;
-        // WAL first, mutate second — see `load_csv`.
-        if let Some(store) = &store {
-            store
-                .log_append(table, version_before, &batch)
-                .map_err(storage_error)?;
-        }
-        let (delta, refrozen) = catalog
-            .append_observations(table, batch)
-            .map_err(|e| WireError::from_exec(&e))?;
-        if let Some(store) = &store {
-            if let Err(e) = store.maybe_checkpoint(&catalog, rows) {
-                eprintln!("uu-server: background checkpoint failed: {e}");
-            }
-        }
+        let (delta, refrozen) =
+            append_csv(&mut catalog, store.as_deref(), table, source_column, csv)?;
         Ok(Response::Appended {
             table: table.to_string(),
             observations: delta.version_after - delta.version_before,
@@ -1242,31 +1163,74 @@ fn wire_trace(trace: &obs::Trace) -> Vec<WireSpan> {
         .collect()
 }
 
+/// The answer step shared by cached queries and prepared executes: the
+/// corrected aggregate per universe (the step behind
+/// [`Catalog::execute_sql_cached`]) and the estimator fan-out, both read
+/// from the selection's frozen profiles, then the timed reply.
+fn answer(
+    sql: String,
+    query: &AggregateQuery,
+    snapshots: &SelectionSnapshots,
+    cache_hit: bool,
+    session: Option<&EstimationSession>,
+    method: CorrectionMethod,
+    start: Instant,
+) -> QueryReply {
+    let rows = uu_query::exec::results_from_selection(query, snapshots, method);
+    let estimates = snapshots
+        .iter()
+        .map(|(_, snapshot)| match session {
+            Some(session) => session
+                .run_profiled(&snapshot.profile())
+                .iter()
+                .map(WireEstimate::from_named)
+                .collect(),
+            None => Vec::new(),
+        })
+        .collect();
+    reply(
+        sql,
+        cache_hit,
+        query.group_by.is_some(),
+        rows,
+        estimates,
+        start,
+    )
+}
+
+/// Serializes a query reply and stamps its service time, measured from
+/// `start` through serialization so a traced reply's span tree tiles the
+/// whole reported time.
 fn reply(
     sql: String,
     cache_hit: bool,
-    elapsed_us: u64,
     grouped: bool,
     rows: Vec<GroupResult>,
     estimates: Vec<Vec<WireEstimate>>,
+    start: Instant,
 ) -> QueryReply {
     debug_assert_eq!(rows.len(), estimates.len());
-    let groups = rows
-        .into_iter()
-        .zip(estimates)
-        .map(|(row, est)| GroupReply {
-            key: WireValue(row.key),
-            result: WireResult::from_result(&row.result, est),
-        })
-        .collect();
-    QueryReply {
-        sql,
-        cache_hit,
-        elapsed_us,
-        grouped,
-        groups,
-        trace: None,
-    }
+    let mut out = {
+        let _span = obs::span(Stage::Serialize);
+        let groups = rows
+            .into_iter()
+            .zip(estimates)
+            .map(|(row, est)| GroupReply {
+                key: WireValue(row.key),
+                result: WireResult::from_result(&row.result, est),
+            })
+            .collect();
+        QueryReply {
+            sql,
+            cache_hit,
+            elapsed_us: 0,
+            grouped,
+            groups,
+            trace: None,
+        }
+    };
+    out.elapsed_us = start.elapsed().as_micros() as u64;
+    out
 }
 
 /// Group-key equality for pairing result rows with their universes: derived
@@ -1278,6 +1242,65 @@ fn same_key(a: &Value, b: &Value) -> bool {
         (Value::Float(x), Value::Float(y)) => x.total_cmp(y) == std::cmp::Ordering::Equal,
         _ => a == b,
     }
+}
+
+/// Parses `csv` under `table`'s schema into one observation batch, checks
+/// that the table accepts all of it (a rejected row maps through
+/// `rejected`), and only then hands it to `log` for the WAL. Validating
+/// first keeps the log to exactly the acknowledged batches. The caller
+/// applies the returned batch under the same catalog write lock, which
+/// orders WAL records like the mutations: a crash between log and apply
+/// replays the batch; a crash before the log loses an unacknowledged
+/// request, never a committed one.
+fn logged_batch(
+    table: &IntegratedTable,
+    store: Option<&Store>,
+    csv: &str,
+    source_column: &str,
+    rejected: impl Fn(TableError) -> WireError,
+    log: impl FnOnce(&Store, &Batch) -> Result<(), StoreError>,
+) -> Result<Batch, WireError> {
+    let batch = parse_observations(table.schema(), csv, source_column)
+        .map_err(|e| WireError::new(ErrorCode::Csv, e.to_string()))?;
+    table.validate_batch(&batch).map_err(rejected)?;
+    if let Some(store) = store {
+        log(store, &batch).map_err(storage_error)?;
+    }
+    Ok(batch)
+}
+
+/// The one write path into a registered table, shared by `append_stream`
+/// and `load_csv` with `"append": true`: [`logged_batch`], then
+/// [`Catalog::append_observations`], then a checkpoint when due.
+fn append_csv(
+    catalog: &mut Catalog,
+    store: Option<&Store>,
+    table: &str,
+    source_column: &str,
+    csv: &str,
+) -> Result<(AppendDelta, u64), WireError> {
+    let existing = catalog
+        .get(table)
+        .ok_or_else(|| WireError::new(ErrorCode::UnknownTable, table))?;
+    let version_before = existing.version();
+    let batch = logged_batch(
+        existing,
+        store,
+        csv,
+        source_column,
+        |e| WireError::from_exec(&e.into()),
+        |store, batch| store.log_append(table, version_before, batch),
+    )?;
+    let rows = batch.len() as u64;
+    let applied = catalog
+        .append_observations(table, batch)
+        .map_err(|e| WireError::from_exec(&e))?;
+    if let Some(store) = store {
+        if let Err(e) = store.maybe_checkpoint(catalog, rows) {
+            eprintln!("uu-server: background checkpoint failed: {e}");
+        }
+    }
+    Ok(applied)
 }
 
 fn storage_error(e: uu_store::StoreError) -> WireError {

@@ -272,16 +272,14 @@ impl Store {
                     // Already present ⇒ the load is inside the snapshot (a
                     // crash landed between the snapshot rename and the WAL
                     // truncate) — skip. Otherwise replay exactly like the
-                    // live path: stage, insert, register only on success
-                    // (a failure was rejected live too, deterministically).
+                    // live path: one append into a staged table, registered
+                    // only on success (a failure was rejected live too,
+                    // deterministically).
                     if catalog.get(&table).is_none() {
                         if let Ok(mut staged) =
                             IntegratedTable::new(&table, Schema::new(columns), &entity_column)
                         {
-                            let clean = batch.into_iter().all(|(src, values)| {
-                                staged.insert_observation(src, values).is_ok()
-                            });
-                            if clean {
+                            if staged.append_batch(batch).is_ok() {
                                 let _ = catalog.register(staged);
                             }
                         }
@@ -488,9 +486,7 @@ mod tests {
         let batch = batch(rows);
         let mut staged =
             IntegratedTable::new("companies", Schema::new(columns()), "company").unwrap();
-        for (src, values) in &batch {
-            staged.insert_observation(*src, values.clone()).unwrap();
-        }
+        staged.append_batch(batch.clone()).unwrap();
         store
             .log_fresh("companies", &columns(), "company", &batch)
             .unwrap();
@@ -601,9 +597,7 @@ mod tests {
         .collect();
         let mut staged =
             IntegratedTable::new("companies", Schema::new(cols.clone()), "company").unwrap();
-        for (src, values) in &batch {
-            staged.insert_observation(*src, values.clone()).unwrap();
-        }
+        staged.append_batch(batch.clone()).unwrap();
         store
             .log_fresh("companies", &cols, "company", &batch)
             .unwrap();

@@ -15,6 +15,9 @@
 //! 3. **Clean shutdown** — the `shutdown` verb writes a final checkpoint,
 //!    so a restart replays zero WAL records and still serves the first
 //!    query from the re-warmed cache.
+//! 4. **Rejected writes** — a batch the table refuses is answered with an
+//!    error before anything reaches the WAL, which holds exactly the
+//!    acknowledged batches.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -377,6 +380,64 @@ fn clean_shutdown_restarts_with_an_empty_wal_and_a_warm_cache() {
         format!("{:?}", before.groups),
         "restart preserves the answer bit-for-bit"
     );
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// Layer 4: a batch with a NULL entity key — through `append_stream` and
+/// through `load_csv` with `"append": true` — is rejected with its usual
+/// error code, and neither request writes a WAL record (under
+/// `--fsync always` that would also cost an `fdatasync`).
+#[test]
+fn rejected_appends_never_reach_the_wal() {
+    use uu_server::client::ClientError;
+    use uu_server::protocol::ErrorCode;
+
+    let data_dir = scratch("rejected-appends");
+    let config = ServerConfig {
+        data_dir: Some(data_dir.clone()),
+        fsync: FsyncPolicy::Always,
+        ..ServerConfig::default()
+    };
+    let handle = spawn(config).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    assert!(matches!(
+        client.request(&load_request()).unwrap(),
+        Response::Loaded { .. }
+    ));
+    let logged = client.stats().unwrap().storage;
+    assert_eq!(logged.wal_records, 1);
+
+    // Row 1 is valid; row 2's empty entity-key field parses to NULL.
+    let null_key = "worker,company,employees\n8,Y8,108\n9,,109\n";
+    match client.append_stream("companies", "worker", null_key) {
+        Err(ClientError::Server(e)) => {
+            assert_eq!(e.code, ErrorCode::Table);
+            assert_eq!(e.message, "entity key must not be NULL");
+        }
+        other => panic!("append_stream accepted a NULL key: {other:?}"),
+    }
+    let Request::LoadCsv(mut append) = load_request() else {
+        unreachable!("load_request builds a load_csv")
+    };
+    append.append = true;
+    append.csv = null_key.to_string();
+    match client.request(&Request::LoadCsv(append)).unwrap() {
+        Response::Error(e) => {
+            assert_eq!(e.code, ErrorCode::Table);
+            assert_eq!(e.message, "entity key must not be NULL");
+        }
+        other => panic!("load_csv append accepted a NULL key: {}", other.encode()),
+    }
+    let after = client.stats().unwrap().storage;
+    assert_eq!(
+        (after.wal_records, after.wal_bytes),
+        (logged.wal_records, logged.wal_bytes),
+        "rejected batches were logged: {after:?}"
+    );
+    // Nothing was applied either.
+    let r = client.query(SQL, &[], true).unwrap();
+    assert_eq!(r.single().expect("ungrouped").observed, 13_000.0);
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&data_dir);
 }

@@ -9,12 +9,10 @@
 //! Corners exercised: NaN/±inf/-0.0 in predicate and group columns, NULL
 //! cells, duplicate entity keys across the base/delta boundary (touched
 //! multiplicities), dictionary-growing strings arriving only in the delta,
-//! interleaved append → query → append sequences, the per-table
-//! `set_incremental(false)` drop-and-rebuild oracle, and both server fronts
-//! (line-JSON and pgwire) answering identically after an `append_stream`.
-//!
-//! The whole suite must pass with `UU_INCREMENTAL=0` as well — parity is
-//! the invariant, the knob only changes which path provides it.
+//! interleaved append → query → append sequences, the drop-and-rebuild
+//! branch (forced by holding the projection across an append), and both
+//! server fronts (line-JSON and pgwire) answering identically after an
+//! `append_stream`.
 
 use proptest::prelude::*;
 use uu_core::sample::SampleView;
@@ -174,16 +172,25 @@ fn assert_views_equal(
     Ok(())
 }
 
-/// Appends `delta` to `table` in `chunks` batches through the incremental
-/// path, after warming the projection and sort permutations so there is
-/// warm state to maintain.
-fn append_in_chunks(table: &mut IntegratedTable, delta: &[RowSel], chunks: usize) {
+/// Appends `delta` to `table` in `chunks` batches through
+/// [`IntegratedTable::append_batch`] and returns each batch's
+/// `incremental` bit. With `pinned`, a reference to the projection is held
+/// across every append, so the table drops it instead of growing it.
+fn append_in_chunks(
+    table: &mut IntegratedTable,
+    delta: &[RowSel],
+    chunks: usize,
+    pinned: bool,
+) -> Vec<bool> {
     let chunks = chunks.clamp(1, 3);
     let per = delta.len().div_ceil(chunks).max(1);
+    let mut grown = Vec::new();
     for chunk in delta.chunks(per) {
         let batch = chunk.iter().map(|row| record(row, true)).collect();
-        table.append_batch(batch).unwrap();
+        let _pin = pinned.then(|| table.projection());
+        grown.push(table.append_batch(batch).unwrap().incremental);
     }
+    grown
 }
 
 /// Full-surface comparison of the incrementally-grown table against the
@@ -304,16 +311,17 @@ proptest! {
                 .grouped_sample_views_with_sorted(Some("attr"), &predicate, group_column)
                 .unwrap();
         }
-        append_in_chunks(&mut grown, &delta, chunks);
+        let extended = append_in_chunks(&mut grown, &delta, chunks, false);
+        prop_assert!(extended.iter().all(|&grew| grew));
         assert_tables_equal(&grown, &oracle, &predicate)?;
 
-        // Drop-and-rebuild oracle path: the per-table flag forces the
-        // fallback, which must answer identically.
+        // Drop-and-rebuild path: a projection pinned across each append
+        // cannot grow in place, and the rebuilt reads must answer
+        // identically.
         let mut fallback = rebuilt(&base, &[]);
-        fallback.set_incremental(false);
         fallback.sample_view_with_sorted(Some("attr"), &predicate).unwrap();
-        append_in_chunks(&mut fallback, &delta, chunks);
-        prop_assert!(!fallback.incremental_enabled());
+        let extended = append_in_chunks(&mut fallback, &delta, chunks, true);
+        prop_assert!(extended.iter().all(|&grew| !grew));
         assert_tables_equal(&fallback, &oracle, &predicate)?;
     }
 
@@ -360,11 +368,12 @@ proptest! {
     }
 }
 
-/// Appending through a catalog with `UU_INCREMENTAL` honored off at the
-/// table level counts fallbacks, never refreezes — and still answers
+/// Appending through a catalog while the table's projection is pinned drops
+/// the projection instead of growing it; the cached selection still
+/// re-freezes (it reads only entities and its stored mask) and answers
 /// exactly.
 #[test]
-fn per_table_flag_forces_the_fallback_path_with_identical_answers() {
+fn a_pinned_projection_forces_the_drop_path_with_identical_answers() {
     let base: Vec<RowSel> = (0..12)
         .map(|i| {
             (
@@ -384,17 +393,16 @@ fn per_table_flag_forces_the_fallback_path_with_identical_answers() {
     let query = AggregateQuery::sum("attr").from("t");
 
     let mut catalog = Catalog::new();
-    let mut table = rebuilt(&base, &[]);
-    table.set_incremental(false);
-    catalog.register(table).unwrap();
+    catalog.register(rebuilt(&base, &[])).unwrap();
     let _ = cached_rows(&catalog, &query);
+    let _pin = catalog.get("t").unwrap().projection();
     let batch = delta.iter().map(|row| record(row, true)).collect();
     let (applied, refrozen) = catalog.append_observations("t", batch).unwrap();
-    assert!(!applied.incremental, "flag must force the fallback");
-    assert_eq!(refrozen, 0, "fallback path never refreezes");
+    assert!(!applied.incremental, "the pin must force the drop");
+    assert_eq!(refrozen, 1, "re-freezing does not need the projection");
     let stats = catalog.incremental_stats();
-    assert_eq!(stats.snapshots_refrozen, 0);
-    assert!(stats.fallback_rebuilds >= 1, "fallback was counted");
+    assert_eq!(stats.snapshots_refrozen, 1);
+    assert_eq!(stats.fallback_rebuilds, 0);
 
     let mut fresh = Catalog::new();
     fresh.register(rebuilt(&base, &delta)).unwrap();
@@ -469,8 +477,8 @@ const FRONT_SQLS: [&str; 3] = [
 
 /// Interleaved query → append → query against a live server must answer —
 /// on **both** fronts — exactly what a server loaded with the combined
-/// document from scratch answers, and the post-append queries must be
-/// served from re-frozen cache entries when incremental mode is on.
+/// document from scratch answers, and the post-append ungrouped queries
+/// must be served from re-frozen cache entries.
 #[test]
 fn both_fronts_answer_identically_after_append_stream() {
     let config = ServerConfig {
@@ -494,12 +502,11 @@ fn both_fronts_answer_identically_after_append_stream() {
         .unwrap();
     assert_eq!(outcome.observations, 4);
     assert_eq!(outcome.entities, 5, "A/B/D/E plus the new F");
-    if outcome.incremental {
-        assert!(
-            outcome.refrozen >= 1,
-            "warm selections must re-freeze, not evict"
-        );
-    }
+    assert!(outcome.incremental, "the projection grew in place");
+    assert!(
+        outcome.refrozen >= 1,
+        "warm selections must re-freeze, not evict"
+    );
 
     // The from-scratch oracle: a second server loaded with base + delta in
     // one document.
@@ -528,7 +535,7 @@ fn both_fronts_answer_identically_after_append_stream() {
         // grouped one saw its CA/WA members re-observed, which by design
         // falls back to a rebuild — so only the ungrouped queries are
         // guaranteed a warm hit.
-        if outcome.incremental && !sql.contains("GROUP BY") {
+        if !sql.contains("GROUP BY") {
             assert!(
                 served.cache_hit,
                 "re-frozen entry must serve the hit: {sql}"
@@ -548,11 +555,7 @@ fn both_fronts_answer_identically_after_append_stream() {
     let stats = json.stats().unwrap();
     assert_eq!(stats.incremental.delta_batches, 1);
     assert_eq!(stats.incremental.rows_appended, 4);
-    if outcome.incremental {
-        assert_eq!(stats.incremental.snapshots_refrozen, outcome.refrozen);
-    } else {
-        assert!(stats.incremental.fallback_rebuilds >= 1);
-    }
+    assert_eq!(stats.incremental.snapshots_refrozen, outcome.refrozen);
     let fresh_stats = fresh_json.stats().unwrap();
     assert_eq!(fresh_stats.incremental.delta_batches, 0);
 
@@ -585,11 +588,10 @@ fn appending_load_csv_routes_through_the_delta_path() {
         .unwrap();
     let observed = after.single().expect("ungrouped").observed;
     assert_eq!(observed, 13_800.0, "13300 + the new entity F (500)");
-    if stats.incremental.snapshots_refrozen >= 1 {
-        assert!(
-            after.cache_hit,
-            "re-frozen entry serves the post-append query"
-        );
-    }
+    assert!(stats.incremental.snapshots_refrozen >= 1);
+    assert!(
+        after.cache_hit,
+        "re-frozen entry serves the post-append query"
+    );
     handle.shutdown();
 }
