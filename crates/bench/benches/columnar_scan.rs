@@ -5,10 +5,11 @@
 //!
 //! * **select** — predicate evaluation + view assembly:
 //!   `sample_view_rows` (per-record `Predicate::eval` over boxed values)
-//!   vs `sample_view` (bitmap kernels over the cached projection).
+//!   vs `sample_view` (bitmap kernels over the cached projection; like
+//!   every columnar extraction it also derives the sorted order).
 //! * **sort** — the value sort behind the frequency ladder / buckets:
 //!   a from-scratch stable sort of the selected items vs
-//!   `sample_view_with_sorted` (filtering the projection's memoized
+//!   `sample_view_with_sorted` (scattering the projection's memoized
 //!   full-column permutation).
 //! * **projection_build** — the one-off cost of materializing the columnar
 //!   buffers (paid once per `(instance, version)`, amortized across every

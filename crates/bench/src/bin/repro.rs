@@ -10,10 +10,11 @@
 //! Experiments: `fig2 fig4 fig5a fig5b fig5c fig6 fig7a fig7b fig7c fig7d
 //! fig7e fig7f fig8 fig9 fig10 fig11 table2 runtime`.
 //!
-//! Each experiment prints the series/rows of the corresponding figure or
-//! table; EXPERIMENTS.md records paper-vs-measured per experiment. `--fast`
-//! shrinks repetition counts and the Monte-Carlo grid (useful for smoke
-//! runs); defaults match the fidelity used for EXPERIMENTS.md.
+//! Each experiment prints the measured series/rows of the corresponding
+//! figure or table, for comparison with the paper's (Table 2 prints the
+//! paper's values beside the computed ones). `--fast` shrinks repetition
+//! counts and the Monte-Carlo grid (useful for smoke runs); the defaults
+//! use the full counts and grid.
 
 use std::time::Instant;
 

@@ -5,9 +5,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::exec::{
-    execute_cached, execute_grouped, execute_grouped_cached, execute_sql as exec_one,
-    refreeze_selection, selection, selection_bytes, selection_key, CachedSelection,
-    CorrectionMethod, ExecError, GroupResult, QueryProfileCache, QueryResult, SelectionSnapshots,
+    execute, execute_cached, execute_grouped, execute_grouped_cached, refreeze_selection,
+    selection, selection_bytes, selection_key, CachedSelection, CorrectionMethod, ExecError,
+    GroupResult, QueryProfileCache, QueryResult, SelectionSnapshots,
 };
 use crate::sql::parse;
 use crate::table::{AppendDelta, IntegratedTable};
@@ -147,7 +147,8 @@ impl Catalog {
     /// cannot be maintained incrementally are dropped (counted as fallback
     /// rebuilds) — the next query rebuilds them, so results are identical
     /// either way. Returns the table's [`AppendDelta`] and the number of
-    /// selections re-frozen.
+    /// selections re-frozen. An empty batch is a no-op: no counter moves
+    /// and no selection is touched.
     ///
     /// This is the append notification [`Catalog::get_mut`]'s whole-table
     /// eviction is too coarse for: `append_stream` and CSV appends route
@@ -163,6 +164,11 @@ impl Catalog {
             .get_mut(&key)
             .ok_or_else(|| ExecError::UnknownTable(name.to_string()))?
             .append_batch(batch)?;
+        if delta.version_after == delta.version_before {
+            // An empty batch: nothing to count, and every cached selection
+            // is still current.
+            return Ok((delta, 0));
+        }
         self.incremental
             .delta_batches
             .fetch_add(1, Ordering::Relaxed);
@@ -293,7 +299,7 @@ impl Catalog {
         let table = self
             .get(&query.table)
             .ok_or_else(|| ExecError::UnknownTable(query.table.clone()))?;
-        exec_one(table, sql, method)
+        execute(table, &query, method)
     }
 
     /// Parses and executes a `GROUP BY` SQL string against the referenced

@@ -20,8 +20,9 @@
 //! (Kleene three-valued logic: a row with neither bit set is *unknown*), so
 //! AND/OR/NOT become word-wide bit operations. The value sort is computed
 //! once per column as a stable permutation of the valid rows; every
-//! selection's sorted order is derived by filtering that permutation, never
-//! by re-sorting. All kernels reproduce the row path bit for bit — the same
+//! universe's sorted order is derived by scattering that permutation into
+//! its groups (an ungrouped selection being one group), never by
+//! re-sorting. All kernels reproduce the row path bit for bit — the same
 //! `as_f64` widening, `total_cmp` ordering, and three-valued comparison
 //! rules — which the `columnar_parity` suite pins.
 
@@ -56,11 +57,6 @@ pub(crate) fn and_in_place(dst: &mut [u64], src: &[u64]) {
     for (d, s) in dst.iter_mut().zip(src) {
         *d &= s;
     }
-}
-
-/// Number of set bits.
-pub(crate) fn count_ones(bits: &[u64]) -> usize {
-    bits.iter().map(|w| w.count_ones() as usize).sum()
 }
 
 /// Calls `f(row)` for every set bit in ascending row order.
@@ -734,39 +730,6 @@ fn cmp_str(
     Mask { t, f }
 }
 
-/// Derives the sorted item permutation of a selection from the full-column
-/// sort: walks `sort_perm(col)` once, keeping selected rows and mapping
-/// each to its item index (= rank among selected rows in table order). With
-/// no aggregate column every value is the same, so the stable order is the
-/// item order itself.
-pub(crate) fn sorted_idx_filtered(
-    proj: &Projection,
-    col: Option<usize>,
-    selected: &[u64],
-    count: usize,
-) -> Vec<u32> {
-    let Some(col) = col else {
-        return (0..count as u32).collect();
-    };
-    // Exclusive prefix popcounts of `selected`, for O(1) row → item rank.
-    let mut prefix = Vec::with_capacity(selected.len());
-    let mut acc = 0u32;
-    for &w in selected {
-        prefix.push(acc);
-        acc += w.count_ones();
-    }
-    let mut idx = Vec::with_capacity(count);
-    for &r in proj.sort_perm(col) {
-        let (w, b) = (r as usize / WORD, r as usize % WORD);
-        if selected[w] >> b & 1 == 1 {
-            let rank = prefix[w] + (selected[w] & ((1u64 << b) - 1)).count_ones();
-            idx.push(rank);
-        }
-    }
-    debug_assert_eq!(idx.len(), count);
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -785,7 +748,8 @@ mod tests {
     fn bitmap_tail_is_masked() {
         assert_eq!(tail_mask(64), u64::MAX);
         assert_eq!(tail_mask(65), 1);
-        assert_eq!(count_ones(&Mask::all_true(70).t), 70);
+        let ones: u32 = Mask::all_true(70).t.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(ones, 70);
     }
 
     #[test]
@@ -1000,24 +964,5 @@ mod tests {
         assert_eq!(merges, 0, "no permutation was built, so none merged");
         assert_eq!(proj.mults(), &[1, 4, 1]);
         assert_eq!(proj.version(), 1);
-    }
-
-    #[test]
-    fn filtered_permutation_is_a_stable_subset_sort() {
-        let schema = Schema::new([("k", ColumnType::Int), ("x", ColumnType::Float)]);
-        let values = [3.0, 1.0, 3.0, 2.0, 1.0, f64::NAN, 0.5];
-        let rows = values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| vec![Value::Int(i as i64), Value::Float(v)])
-            .collect();
-        let ents = entities(&schema, rows);
-        let proj = Projection::build(&schema, &ents, 0);
-        // Select rows 0, 2, 3, 4, 6 (drop 1 and 5).
-        let selected = vec![0b101_1101u64];
-        let idx = sorted_idx_filtered(&proj, Some(1), &selected, 5);
-        // Items in table order: [3.0, 3.0, 2.0, 1.0, 0.5]; stable ascending
-        // sort of those items is [0.5, 1.0, 2.0, 3.0, 3.0] = items 4,3,2,0,1.
-        assert_eq!(idx, vec![4, 3, 2, 0, 1]);
     }
 }

@@ -7,17 +7,19 @@
 //! the §4 upper bound, MIN/MAX queries carry the §5 trust report, and every
 //! result carries the §6.5 diagnostics and recommendation.
 //!
-//! Each estimation universe (the whole selection, or one group of a
-//! `GROUP BY`) gets exactly one [`ViewProfile`]: the diagnostics, the
-//! recommendation, the species estimates and the bucket partition behind the
-//! corrected answer are computed once and shared between the correction, the
-//! AVG/MIN/MAX strategies and the result metadata. Grouped queries evaluate
-//! their groups on the shared work-stealing executor (`uu_core::exec`), whose
-//! thread budget `UU_THREADS` sets (results are identical and in the same
-//! group order at every budget, `UU_THREADS=1` included); nested parallel
-//! work inside a group — the session fan-out, the Monte-Carlo grid — runs
-//! inline on the group's worker, so a grouped Monte-Carlo workload never
-//! exceeds the executor's thread budget.
+//! Each estimation universe (one group of a `GROUP BY`; an ungrouped query
+//! is the one-group case, keyed by NULL) gets exactly one [`ViewProfile`]:
+//! the diagnostics, the recommendation, the species estimates and the
+//! bucket partition behind the corrected answer are computed once and
+//! shared between the correction, the AVG/MIN/MAX strategies and the result
+//! metadata. Every query path takes its universes from one extraction,
+//! [`IntegratedTable::universes`], and evaluates them on the shared
+//! work-stealing executor (`uu_core::exec`), whose thread budget
+//! `UU_THREADS` sets (results are identical and in the same group order at
+//! every budget, `UU_THREADS=1` included); nested parallel work inside a
+//! group — the session fan-out, the Monte-Carlo grid — runs inline on the
+//! group's worker, so a grouped Monte-Carlo workload never exceeds the
+//! executor's thread budget.
 //!
 //! For repeated-query workloads, [`execute_cached`] /
 //! [`execute_grouped_cached`] consult a [`QueryProfileCache`] before building
@@ -35,7 +37,7 @@ use std::sync::Arc;
 use crate::predicate::Predicate;
 use crate::query::{AggregateFunction, AggregateQuery};
 use crate::sql::{parse, ParseError};
-use crate::table::{AppendDelta, IntegratedTable, TableError};
+use crate::table::{AppendDelta, IntegratedTable, TableError, Universe};
 use crate::value::Value;
 use uu_core::aggregates::{
     avg_estimate_profiled, max_report_profiled, min_report_profiled, ExtremeReport,
@@ -65,9 +67,10 @@ pub struct CachedSelection {
     /// The `GROUP BY` column, verbatim.
     group_by: Option<String>,
     /// Ungrouped selections: bit `i` set ⇔ table row `i` contributed an
-    /// item, in table order (see
-    /// [`IntegratedTable::selection_mask_bits`]). Empty for grouped
-    /// selections, which re-derive delta membership per group instead.
+    /// item, in table order — the membership bitmap
+    /// [`IntegratedTable::universes`] returned at freeze time. Empty for
+    /// grouped selections, which re-derive delta membership per group
+    /// instead.
     mask: Vec<u64>,
     /// One frozen universe per group (a single `Null`-keyed entry when
     /// ungrouped).
@@ -263,7 +266,8 @@ impl CorrectionMethod {
     }
 }
 
-/// Executes `query` against `table` with the chosen correction.
+/// Executes `query` against `table` with the chosen correction: the
+/// one-universe case of [`execute_grouped`].
 ///
 /// Queries with a `GROUP BY` clause must go through [`execute_grouped`].
 pub fn execute(
@@ -275,15 +279,10 @@ pub fn execute(
     if query.group_by.is_some() {
         return Err(ExecError::GroupedQuery);
     }
-    let (view, sorted) =
-        table.sample_view_with_sorted(query.column.as_deref(), &query.predicate)?;
-    Ok(compute(
-        query.to_string(),
-        query.agg,
-        &view,
-        &sorted,
-        method,
-    ))
+    Ok(execute_grouped(table, query, method)?
+        .pop()
+        .expect("ungrouped queries have exactly one universe")
+        .result)
 }
 
 fn check_table(table: &IntegratedTable, query: &AggregateQuery) -> Result<(), ExecError> {
@@ -317,35 +316,12 @@ pub fn execute_grouped(
     method: CorrectionMethod,
 ) -> Result<Vec<GroupResult>, ExecError> {
     check_table(table, query)?;
-    let Some(group_column) = query.group_by.as_deref() else {
-        let result = execute(table, query, method)?;
-        return Ok(vec![GroupResult {
-            key: crate::value::Value::Null,
-            result,
-        }]);
-    };
-    let groups = table.grouped_sample_views_with_sorted(
+    let (_, universes) = table.universes(
         query.column.as_deref(),
         &query.predicate,
-        group_column,
+        query.group_by.as_deref(),
     )?;
-    Ok(compute_groups(query, group_column, groups, method))
-}
-
-/// Evaluates every group as its own estimation universe (one profile each)
-/// on the shared executor — work-stealing balances skewed group sizes, and
-/// results come back in group order regardless of scheduling.
-fn compute_groups(
-    query: &AggregateQuery,
-    group_column: &str,
-    groups: Vec<(crate::value::Value, SampleView, Vec<u32>)>,
-    method: CorrectionMethod,
-) -> Vec<GroupResult> {
-    uu_core::exec::global().map_indexed(groups, |_, (key, view, sorted)| {
-        let label = format!("{query} [{group_column} = {key}]");
-        let result = compute(label, query.agg, &view, &sorted, method);
-        GroupResult { key, result }
-    })
+    Ok(results_from_universes(query, &universes, method))
 }
 
 /// Parses and executes a `GROUP BY` SQL string.
@@ -401,8 +377,8 @@ fn profile_key(table: &IntegratedTable, query: &AggregateQuery) -> ProfileKey {
 }
 
 /// The cache identity of an existing selection against `table`'s *current*
-/// state — [`profile_key`] rebuilt from the selection's own query shape
-/// instead of a parsed query. Recovery uses this to re-insert persisted
+/// state — the key a query of the same shape gets, rebuilt from the
+/// selection's own query shape instead of a parsed query. Recovery uses this to re-insert persisted
 /// selections under the restored table's fresh instance id.
 pub fn selection_key(table: &IntegratedTable, selection: &CachedSelection) -> ProfileKey {
     ProfileKey {
@@ -455,18 +431,11 @@ pub fn selection(
     if let Some(hit) = cache.get(&key) {
         return Ok((hit, true));
     }
-    let universes = match query.group_by.as_deref() {
-        Some(group_column) => table.grouped_sample_views_with_sorted(
-            query.column.as_deref(),
-            &query.predicate,
-            group_column,
-        )?,
-        None => {
-            let (view, sorted) =
-                table.sample_view_with_sorted(query.column.as_deref(), &query.predicate)?;
-            vec![(crate::value::Value::Null, view, sorted)]
-        }
-    };
+    let (mask, universes) = table.universes(
+        query.column.as_deref(),
+        &query.predicate,
+        query.group_by.as_deref(),
+    )?;
     let snapshots = uu_core::exec::global().map_indexed(universes, |_, (group, view, sorted)| {
         (group, ProfileSnapshot::capture_presorted(view, sorted))
     });
@@ -474,7 +443,7 @@ pub fn selection(
     // can extend it instead of rescanning; grouped selections re-derive
     // delta membership per group at refreeze time.
     let mask = match query.group_by {
-        None => table.selection_mask_bits(query.column.as_deref(), &query.predicate)?,
+        None => mask,
         Some(_) => Vec::new(),
     };
     let selection = Arc::new(CachedSelection {
@@ -741,18 +710,49 @@ pub fn results_from_selection(
     snapshots: &SelectionSnapshots,
     method: CorrectionMethod,
 ) -> Vec<GroupResult> {
-    let group_column = query.group_by.as_deref();
-    let indices: Vec<usize> = (0..snapshots.len()).collect();
+    results(query, snapshots, method, |(key, snapshot)| {
+        (key, snapshot.profile())
+    })
+}
+
+/// Evaluates `query` over freshly extracted universes (see
+/// [`IntegratedTable::universes`]), one [`GroupResult`] per universe in
+/// order. Each universe gets a fresh [`ViewProfile`] whose value sort is
+/// pre-filled from the universe's permutation, so no estimation path
+/// re-sorts. This is the computation step of [`execute_grouped`]; callers
+/// that extracted the universes themselves (e.g. a server that also fans
+/// an estimation session over the same views) reuse it without a second
+/// extraction.
+pub fn results_from_universes(
+    query: &AggregateQuery,
+    universes: &[Universe],
+    method: CorrectionMethod,
+) -> Vec<GroupResult> {
+    results(query, universes, method, |(key, view, sorted)| {
+        (key, ViewProfile::with_sorted_indices(view, sorted))
+    })
+}
+
+/// One [`GroupResult`] per universe, computed on the shared executor —
+/// work-stealing balances skewed group sizes, and results come back in
+/// universe order regardless of scheduling. `profile` yields a universe's
+/// group key and the profile its statistics come from.
+fn results<U: Sync>(
+    query: &AggregateQuery,
+    universes: &[U],
+    method: CorrectionMethod,
+    profile: impl Fn(&U) -> (&Value, ViewProfile<'_>) + Sync,
+) -> Vec<GroupResult> {
+    let indices: Vec<usize> = (0..universes.len()).collect();
     uu_core::exec::global().map_indexed(indices, |_, i| {
-        let (key, snapshot) = &snapshots[i];
-        let label = match group_column {
+        let (key, profile) = profile(&universes[i]);
+        let label = match query.group_by.as_deref() {
             Some(group_column) => format!("{query} [{group_column} = {key}]"),
             None => query.to_string(),
         };
-        let result = compute_profiled(label, query.agg, &snapshot.profile(), method);
         GroupResult {
             key: key.clone(),
-            result,
+            result: compute(label, query.agg, &profile, method),
         }
     })
 }
@@ -773,27 +773,10 @@ pub fn execute_grouped_cached(
 
 /// Computes the dual answer for one estimation universe, sharing one
 /// [`ViewProfile`] between the correction, the §5 strategies and the result
-/// metadata. The profile starts with its value sort pre-filled from the
-/// table's memoized column permutation, so no estimation path re-sorts.
+/// metadata. The profile is either thawed from a [`ProfileSnapshot`] or
+/// built fresh with its value sort pre-filled from the universe's
+/// permutation.
 fn compute(
-    query_display: String,
-    agg: AggregateFunction,
-    view: &SampleView,
-    sorted_idx: &[u32],
-    method: CorrectionMethod,
-) -> QueryResult {
-    compute_profiled(
-        query_display,
-        agg,
-        &ViewProfile::with_sorted_indices(view, sorted_idx),
-        method,
-    )
-}
-
-/// [`compute`] over a caller-supplied profile — the entry point for cached
-/// execution, where the profile is thawed from a [`ProfileSnapshot`] instead
-/// of built from a fresh view.
-fn compute_profiled(
     query_display: String,
     agg: AggregateFunction,
     profile: &ViewProfile<'_>,

@@ -65,8 +65,9 @@ pub mod value;
 pub use catalog::Catalog;
 pub use exec::{
     execute, execute_cached, execute_grouped, execute_grouped_cached, execute_sql,
-    execute_sql_grouped, results_from_selection, selection, selection_bytes, CorrectionMethod,
-    GroupResult, QueryProfileCache, QueryResult, SelectionSnapshots,
+    execute_sql_grouped, results_from_selection, results_from_universes, selection,
+    selection_bytes, CorrectionMethod, GroupResult, QueryProfileCache, QueryResult,
+    SelectionSnapshots,
 };
 pub use predicate::{CmpOp, Predicate};
 pub use query::{AggregateFunction, AggregateQuery};

@@ -125,6 +125,11 @@ fn next_instance() -> u64 {
     TABLE_INSTANCES.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
+/// One estimation universe: its group value (`Value::Null` when the query
+/// is ungrouped), its sample view, and the view's value-sort permutation
+/// (indices into the view's items, ascending, stable).
+pub type Universe = (Value, SampleView, Vec<u32>);
+
 /// Persisted entity rows: `(record values, (source, count) lineage)` in
 /// original row order — the shape [`IntegratedTable::restore`] consumes
 /// and checkpoints produce.
@@ -339,7 +344,8 @@ impl IntegratedTable {
     ///
     /// Every load and append goes through here. The batch is validated in
     /// full (see [`IntegratedTable::validate_batch`]) before anything is
-    /// applied: on error the table is unchanged. Only when an outside
+    /// applied: on error the table is unchanged. An empty batch changes
+    /// nothing, the projection included. Only when an outside
     /// reference holds the projection across the append is it dropped
     /// instead of grown; the next read rebuilds it.
     pub fn append_batch(
@@ -362,6 +368,8 @@ impl IntegratedTable {
         let mut perm_merges = 0u64;
         let guard = self.projection.get_mut().expect("projection lock");
         let grown = match guard.as_mut() {
+            // An empty batch leaves the projection current as it is.
+            _ if self.version == version_before => true,
             Some(arc) if arc.version() == version_before => {
                 // During an append the table is held exclusively, so the
                 // cache's Arc is normally the only one left; a surviving
@@ -505,14 +513,15 @@ impl IntegratedTable {
     /// full lineage. Entities whose attribute is NULL are skipped (SQL
     /// aggregate semantics).
     ///
-    /// Runs over the columnar projection; results are bit-for-bit those of
-    /// the per-record reference path [`IntegratedTable::sample_view_rows`].
+    /// The one-universe case of [`IntegratedTable::universes`]; results are
+    /// bit-for-bit those of the per-record reference path
+    /// [`IntegratedTable::sample_view_rows`].
     pub fn sample_view(
         &self,
         attr_column: Option<&str>,
         predicate: &Predicate,
     ) -> Result<SampleView, TableError> {
-        Ok(self.columnar_view(attr_column, predicate, false)?.0)
+        Ok(self.sample_view_with_sorted(attr_column, predicate)?.0)
     }
 
     /// [`IntegratedTable::sample_view`] plus the selection's value-sort
@@ -524,25 +533,91 @@ impl IntegratedTable {
         attr_column: Option<&str>,
         predicate: &Predicate,
     ) -> Result<(SampleView, Vec<u32>), TableError> {
-        let (view, sorted) = self.columnar_view(attr_column, predicate, true)?;
-        Ok((view, sorted.expect("sorted permutation requested")))
+        let (_, universes) = self.universes(attr_column, predicate, None)?;
+        let (_, view, sorted) = universes
+            .into_iter()
+            .next()
+            .expect("an ungrouped selection is one universe");
+        Ok((view, sorted))
     }
 
-    fn columnar_view(
+    /// The estimation universes of `AGG(attr_column) WHERE predicate
+    /// [GROUP BY group_column]` over the columnar projection, plus the
+    /// membership bitmap they were drawn from.
+    ///
+    /// The bitmap is the predicate's truth ANDed with the aggregate
+    /// column's validity: bit `i` set ⇔ entity `i` contributes an item, in
+    /// table order — exactly the membership a cached selection remembers to
+    /// place delta items without rescanning. It is empty for an empty table,
+    /// and for a group column the projection cannot key exactly (an INT
+    /// beyond 2^53 widened into a FLOAT column), which groups through
+    /// [`IntegratedTable::grouped_sample_views_rows`] instead.
+    ///
+    /// Each [`Universe`] carries its group value, its view, and the view's
+    /// value-sort permutation, scattered from the projection's memoized
+    /// column sort. Universes come sorted by the group value's entity
+    /// representation; entities whose group value is NULL form their own
+    /// group (SQL groups NULLs together). An ungrouped query is the
+    /// one-group case: a single `Value::Null` universe, present even when
+    /// the selection or the table is empty.
+    ///
+    /// Errors name an unknown group column first, then a bad aggregate
+    /// column, then the predicate (which an empty table never evaluates).
+    pub fn universes(
         &self,
         attr_column: Option<&str>,
         predicate: &Predicate,
-        want_sorted: bool,
-    ) -> Result<(SampleView, Option<Vec<u32>>), TableError> {
+        group_column: Option<&str>,
+    ) -> Result<(Vec<u64>, Vec<Universe>), TableError> {
+        let group_idx = group_column
+            .map(|name| {
+                self.schema
+                    .index_of(name)
+                    .ok_or_else(|| TableError::UnknownColumn(name.to_string()))
+            })
+            .transpose()?;
         let attr_idx = self.checked_attr(attr_column)?;
+        // The ungrouped case starts with its one universe, so an empty
+        // selection still yields it.
+        let mut reps: Vec<Value> = Vec::new();
+        let mut buckets: Vec<Vec<ObservedItem>> = Vec::new();
+        if group_idx.is_none() {
+            reps.push(Value::Null);
+            buckets.push(Vec::new());
+        }
         // An empty table evaluates the predicate on no record, so even an
         // unknown predicate column is not an error there — skip compilation
         // to match.
         if self.entities.is_empty() {
-            let sorted = want_sorted.then(Vec::new);
-            return Ok((SampleView::from_observed_items(Vec::new()), sorted));
+            let universes = reps
+                .into_iter()
+                .map(|value| {
+                    (
+                        value,
+                        SampleView::from_observed_items(Vec::new()),
+                        Vec::new(),
+                    )
+                })
+                .collect();
+            return Ok((Vec::new(), universes));
         }
         let proj = self.projection();
+        if let Some(g) = group_idx.filter(|&g| proj.lossy_ints(g)) {
+            // The group column holds an INT beyond 2^53: entity-key grouping
+            // keys on the exact decimal string, which the widened floats
+            // cannot reproduce — group via the row path and argsort each
+            // group's items (the same stable sort `capture` performs).
+            let group_column = self.schema.column(g).name.as_str();
+            let groups = self.grouped_sample_views_rows(attr_column, predicate, group_column)?;
+            let universes = groups
+                .into_iter()
+                .map(|(value, view)| {
+                    let sorted = argsort_items(&view);
+                    (value, view, sorted)
+                })
+                .collect();
+            return Ok((Vec::new(), universes));
+        }
         let selected = {
             let _span = uu_core::obs::span(uu_core::obs::Stage::SelectionKernel);
             let mut selected = proj.selection_mask(&self.schema, predicate)?;
@@ -552,44 +627,65 @@ impl IntegratedTable {
             }
             selected
         };
-        let count = columnar::count_ones(&selected);
-        let mut items = Vec::with_capacity(count);
+        // One pass over the selected rows assigns groups; each row remembers
+        // its group and its item index within it, so the memoized column
+        // sort can be scattered into per-group permutations in a second
+        // single pass.
+        let rows = self.entities.len();
+        let mut row_group = vec![u32::MAX; rows];
+        let mut row_slot = vec![0u32; rows];
+        let mut by_key: HashMap<GroupKey, u32> = HashMap::new();
         columnar::for_each_set(&selected, |row| {
+            let g = match group_idx {
+                None => 0,
+                Some(col) => *by_key.entry(proj.group_key(col, row)).or_insert_with(|| {
+                    reps.push(self.entities[row].record.value(col).clone());
+                    buckets.push(Vec::new());
+                    (reps.len() - 1) as u32
+                }),
+            };
+            let bucket = &mut buckets[g as usize];
+            row_group[row] = g;
+            row_slot[row] = bucket.len() as u32;
             let value = attr_idx.map_or(0.0, |c| proj.float_at(c, row));
-            items.push(ObservedItem {
+            bucket.push(ObservedItem {
                 value,
                 multiplicity: proj.mults()[row],
                 source_counts: self.entities[row].source_counts.clone(),
             });
         });
-        let sorted = want_sorted.then(|| {
+        let sorted: Vec<Vec<u32>> = {
             let _span = uu_core::obs::span(uu_core::obs::Stage::PresortedFilter);
-            columnar::sorted_idx_filtered(&proj, attr_idx, &selected, count)
-        });
-        Ok((SampleView::from_observed_items(items), sorted))
-    }
-
-    /// The combined selection bitmap a [`IntegratedTable::sample_view`] call
-    /// selects its items from: predicate truth ANDed with the aggregate
-    /// column's validity. Bit `i` set ⇔ entity `i` contributes an item, in
-    /// table order — exactly the membership a cached selection must remember
-    /// to place delta items without rescanning. Empty for an empty table.
-    pub fn selection_mask_bits(
-        &self,
-        attr_column: Option<&str>,
-        predicate: &Predicate,
-    ) -> Result<Vec<u64>, TableError> {
-        let attr_idx = self.checked_attr(attr_column)?;
-        if self.entities.is_empty() {
-            return Ok(Vec::new());
-        }
-        let proj = self.projection();
-        let _span = uu_core::obs::span(uu_core::obs::Stage::SelectionKernel);
-        let mut selected = proj.selection_mask(&self.schema, predicate)?;
-        if let Some(idx) = attr_idx {
-            columnar::and_in_place(&mut selected, proj.valid_bits(idx));
-        }
-        Ok(selected)
+            match attr_idx {
+                // No aggregate column: every value ties, stable order is
+                // item order.
+                None => buckets
+                    .iter()
+                    .map(|b| (0..b.len() as u32).collect())
+                    .collect(),
+                Some(c) => {
+                    let mut sorted: Vec<Vec<u32>> = buckets
+                        .iter()
+                        .map(|b| Vec::with_capacity(b.len()))
+                        .collect();
+                    for &r in proj.sort_perm(c) {
+                        let row = r as usize;
+                        if row_group[row] != u32::MAX {
+                            sorted[row_group[row] as usize].push(row_slot[row]);
+                        }
+                    }
+                    sorted
+                }
+            }
+        };
+        let mut universes: Vec<Universe> = reps
+            .into_iter()
+            .zip(buckets.into_iter().map(SampleView::from_observed_items))
+            .zip(sorted)
+            .map(|((value, view), idx)| (value, view, idx))
+            .collect();
+        universes.sort_by_key(|(value, _, _)| value.entity_key());
+        Ok((selected, universes))
     }
 
     /// Per-record reference implementation of [`IntegratedTable::sample_view`]
@@ -634,7 +730,7 @@ impl IntegratedTable {
         group_column: &str,
     ) -> Result<Vec<(Value, SampleView)>, TableError> {
         Ok(self
-            .columnar_grouped(attr_column, predicate, group_column, false)?
+            .grouped_sample_views_with_sorted(attr_column, predicate, group_column)?
             .into_iter()
             .map(|(value, view, _)| (value, view))
             .collect())
@@ -648,112 +744,10 @@ impl IntegratedTable {
         attr_column: Option<&str>,
         predicate: &Predicate,
         group_column: &str,
-    ) -> Result<Vec<(Value, SampleView, Vec<u32>)>, TableError> {
-        self.columnar_grouped(attr_column, predicate, group_column, true)
-    }
-
-    fn columnar_grouped(
-        &self,
-        attr_column: Option<&str>,
-        predicate: &Predicate,
-        group_column: &str,
-        want_sorted: bool,
-    ) -> Result<Vec<(Value, SampleView, Vec<u32>)>, TableError> {
-        let group_idx = self
-            .schema
-            .index_of(group_column)
-            .ok_or_else(|| TableError::UnknownColumn(group_column.to_string()))?;
-        let attr_idx = self.checked_attr(attr_column)?;
-        if self.entities.is_empty() {
-            return Ok(Vec::new());
-        }
-        let proj = self.projection();
-        if proj.lossy_ints(group_idx) {
-            // The group column holds an INT beyond 2^53: entity-key grouping
-            // keys on the exact decimal string, which the widened floats
-            // cannot reproduce — group via the row path and argsort each
-            // group's items (the same stable sort `capture` performs).
-            let groups = self.grouped_sample_views_rows(attr_column, predicate, group_column)?;
-            return Ok(groups
-                .into_iter()
-                .map(|(value, view)| {
-                    let sorted = if want_sorted {
-                        argsort_items(&view)
-                    } else {
-                        Vec::new()
-                    };
-                    (value, view, sorted)
-                })
-                .collect());
-        }
-        let selected = {
-            let _span = uu_core::obs::span(uu_core::obs::Stage::SelectionKernel);
-            let mut selected = proj.selection_mask(&self.schema, predicate)?;
-            if let Some(idx) = attr_idx {
-                columnar::and_in_place(&mut selected, proj.valid_bits(idx));
-            }
-            selected
-        };
-        // One pass over the selected rows assigns groups; each row remembers
-        // its group and its item index within it, so the memoized column
-        // sort can be scattered into per-group permutations in a second
-        // single pass.
-        let rows = self.entities.len();
-        let mut row_group = vec![u32::MAX; rows];
-        let mut row_slot = vec![0u32; rows];
-        let mut by_key: HashMap<GroupKey, u32> = HashMap::new();
-        let mut reps: Vec<Value> = Vec::new();
-        let mut buckets: Vec<Vec<ObservedItem>> = Vec::new();
-        columnar::for_each_set(&selected, |row| {
-            let key = proj.group_key(group_idx, row);
-            let g = *by_key.entry(key).or_insert_with(|| {
-                reps.push(self.entities[row].record.value(group_idx).clone());
-                buckets.push(Vec::new());
-                (reps.len() - 1) as u32
-            });
-            let bucket = &mut buckets[g as usize];
-            row_group[row] = g;
-            row_slot[row] = bucket.len() as u32;
-            let value = attr_idx.map_or(0.0, |c| proj.float_at(c, row));
-            bucket.push(ObservedItem {
-                value,
-                multiplicity: proj.mults()[row],
-                source_counts: self.entities[row].source_counts.clone(),
-            });
-        });
-        let sorted: Vec<Vec<u32>> = if !want_sorted {
-            vec![Vec::new(); buckets.len()]
-        } else {
-            match attr_idx {
-                // No aggregate column: every value ties, stable order is
-                // item order.
-                None => buckets
-                    .iter()
-                    .map(|b| (0..b.len() as u32).collect())
-                    .collect(),
-                Some(c) => {
-                    let mut sorted: Vec<Vec<u32>> = buckets
-                        .iter()
-                        .map(|b| Vec::with_capacity(b.len()))
-                        .collect();
-                    for &r in proj.sort_perm(c) {
-                        let row = r as usize;
-                        if row_group[row] != u32::MAX {
-                            sorted[row_group[row] as usize].push(row_slot[row]);
-                        }
-                    }
-                    sorted
-                }
-            }
-        };
-        let mut out: Vec<(Value, SampleView, Vec<u32>)> = reps
-            .into_iter()
-            .zip(buckets.into_iter().map(SampleView::from_observed_items))
-            .zip(sorted)
-            .map(|((value, view), idx)| (value, view, idx))
-            .collect();
-        out.sort_by_key(|(value, _, _)| value.entity_key());
-        Ok(out)
+    ) -> Result<Vec<Universe>, TableError> {
+        Ok(self
+            .universes(attr_column, predicate, Some(group_column))?
+            .1)
     }
 
     /// Per-record reference implementation of
@@ -1229,17 +1223,38 @@ mod tests {
     }
 
     #[test]
-    fn selection_mask_bits_mirror_sample_view_membership() {
+    fn universes_mask_mirrors_sample_view_membership() {
         let t = tech_table();
         let pred = Predicate::cmp("state", CmpOp::Eq, Value::from("CA"));
-        let mask = t.selection_mask_bits(Some("employees"), &pred).unwrap();
+        let (mask, universes) = t.universes(Some("employees"), &pred, None).unwrap();
         // Rows 0 ("A") and 1 ("B") are CA with non-NULL employees.
         assert_eq!(mask, vec![0b011]);
+        assert_eq!(universes.len(), 1);
+        assert!(universes[0].0.is_null());
+        assert_eq!(universes[0].1.c(), 2);
+        // Grouping draws from the same membership.
+        let (grouped_mask, groups) = t
+            .universes(Some("employees"), &pred, Some("state"))
+            .unwrap();
+        assert_eq!(grouped_mask, mask);
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].0, Value::from("CA"));
+    }
+
+    #[test]
+    fn an_ungrouped_selection_is_always_one_universe() {
+        let t = tech_table();
+        let none = Predicate::cmp("employees", CmpOp::Gt, Value::from(1e9));
+        let (_, universes) = t.universes(Some("employees"), &none, None).unwrap();
+        assert_eq!(universes.len(), 1);
+        assert!(universes[0].0.is_null() && universes[0].1.is_empty());
         let empty = IntegratedTable::new("e", Schema::new([("k", ColumnType::Str)]), "k").unwrap();
-        assert!(empty
-            .selection_mask_bits(None, &Predicate::True)
-            .unwrap()
-            .is_empty());
+        let (mask, universes) = empty.universes(None, &Predicate::True, None).unwrap();
+        assert!(mask.is_empty());
+        assert_eq!(universes.len(), 1);
+        assert!(universes[0].0.is_null() && universes[0].1.is_empty());
+        let (_, groups) = empty.universes(None, &Predicate::True, Some("k")).unwrap();
+        assert!(groups.is_empty());
     }
 
     #[test]

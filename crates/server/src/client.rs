@@ -10,7 +10,7 @@ use crate::protocol::{
 };
 
 /// Client-side failure: transport, framing, or a structured server error
-/// surfaced through [`Client::expect_ok`]-style helpers.
+/// surfaced by the typed helpers such as [`Client::query`].
 #[derive(Debug)]
 pub enum ClientError {
     /// Socket-level failure.

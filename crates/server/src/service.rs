@@ -46,12 +46,13 @@ use uu_core::obs;
 use uu_core::obs::{Stage, Verb};
 use uu_query::catalog::Catalog;
 use uu_query::csv::parse_observations;
-use uu_query::exec::{CorrectionMethod, GroupResult, SelectionSnapshots};
+use uu_query::exec::{
+    results_from_universes, CorrectionMethod, ExecError, GroupResult, SelectionSnapshots,
+};
 use uu_query::query::AggregateQuery;
 use uu_query::schema::{ColumnType, Schema};
 use uu_query::sql::parse;
 use uu_query::table::{AppendDelta, IntegratedTable, TableError};
-use uu_query::value::Value;
 use uu_store::record::Batch;
 use uu_store::{Store, StoreError};
 
@@ -846,44 +847,30 @@ impl Service {
                 start,
             ));
         }
-        let rows = catalog
-            .execute_sql_grouped(&request.sql, method)
-            .map_err(|e| WireError::from_exec(&e))?;
+        // Uncached: one extraction feeds both the corrected rows and the
+        // estimator fan-out, universe by universe. `EstimationSession::run`
+        // profiles each view afresh (its own sort), so this reply stays an
+        // independent reference for the cached one.
         let table = catalog
             .get(&query.table)
-            .ok_or_else(|| WireError::new(ErrorCode::UnknownTable, &query.table))?;
-        let universes: Vec<(Value, uu_core::sample::SampleView)> = match query.group_by.as_deref() {
-            Some(group_column) => table
-                .grouped_sample_views(query.column.as_deref(), &query.predicate, group_column)
-                .map_err(|e| WireError::new(ErrorCode::Table, e.to_string()))?,
-            None => vec![(
-                Value::Null,
-                table
-                    .sample_view(query.column.as_deref(), &query.predicate)
-                    .map_err(|e| WireError::new(ErrorCode::Table, e.to_string()))?,
-            )],
-        };
-        // Pair estimates with result rows **by group key**, not by
-        // position: both derive from the same deterministic grouping
-        // today, but the reply must not silently mis-attribute Δs if
-        // that ever changes. Keys compare with `same_key`, not derived
-        // PartialEq — a Float(NaN) group key must match its own universe.
-        let estimates = rows
+            .ok_or_else(|| WireError::from_exec(&ExecError::UnknownTable(query.table.clone())))?;
+        let (_, universes) = table
+            .universes(
+                query.column.as_deref(),
+                &query.predicate,
+                query.group_by.as_deref(),
+            )
+            .map_err(|e| WireError::from_exec(&e.into()))?;
+        let rows = results_from_universes(&query, &universes, method);
+        let estimates = universes
             .iter()
-            .map(|row| {
-                let view = universes
+            .map(|(_, view, _)| match session {
+                Some(session) => session
+                    .run(view)
                     .iter()
-                    .find(|(key, _)| same_key(key, &row.key))
-                    .map(|(_, view)| view)
-                    .expect("every result row has a matching universe");
-                match session {
-                    Some(session) => session
-                        .run(view)
-                        .iter()
-                        .map(WireEstimate::from_named)
-                        .collect(),
-                    None => Vec::new(),
-                }
+                    .map(WireEstimate::from_named)
+                    .collect(),
+                None => Vec::new(),
             })
             .collect();
         Ok(reply(
@@ -1233,17 +1220,6 @@ fn reply(
     out
 }
 
-/// Group-key equality for pairing result rows with their universes: derived
-/// `PartialEq` would make a `Float(NaN)` key match nothing (NaN != NaN),
-/// panicking the pairing even though both sides came from the identical
-/// grouping. Total float comparison treats NaN as equal to itself.
-fn same_key(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Float(x), Value::Float(y)) => x.total_cmp(y) == std::cmp::Ordering::Equal,
-        _ => a == b,
-    }
-}
-
 /// Parses `csv` under `table`'s schema into one observation batch, checks
 /// that the table accepts all of it (a rejected row maps through
 /// `rejected`), and only then hands it to `log` for the WAL. Validating
@@ -1271,7 +1247,9 @@ fn logged_batch(
 
 /// The one write path into a registered table, shared by `append_stream`
 /// and `load_csv` with `"append": true`: [`logged_batch`], then
-/// [`Catalog::append_observations`], then a checkpoint when due.
+/// [`Catalog::append_observations`], then a checkpoint when due. An empty
+/// batch (an empty or header-only CSV) is acknowledged with zero
+/// observations and touches neither the WAL nor any cached selection.
 fn append_csv(
     catalog: &mut Catalog,
     store: Option<&Store>,
@@ -1289,13 +1267,19 @@ fn append_csv(
         csv,
         source_column,
         |e| WireError::from_exec(&e.into()),
-        |store, batch| store.log_append(table, version_before, batch),
+        |store, batch| {
+            // An empty batch changes nothing: no record to log or replay.
+            if batch.is_empty() {
+                return Ok(());
+            }
+            store.log_append(table, version_before, batch)
+        },
     )?;
     let rows = batch.len() as u64;
     let applied = catalog
         .append_observations(table, batch)
         .map_err(|e| WireError::from_exec(&e))?;
-    if let Some(store) = store {
+    if let Some(store) = store.filter(|_| rows > 0) {
         if let Err(e) = store.maybe_checkpoint(catalog, rows) {
             eprintln!("uu-server: background checkpoint failed: {e}");
         }

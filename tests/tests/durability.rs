@@ -441,3 +441,95 @@ fn rejected_appends_never_reach_the_wal() {
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&data_dir);
 }
+
+/// Layer 4, continued: an empty or header-only CSV — through `append_stream`
+/// and through `load_csv` with `"append": true` — is acknowledged as zero
+/// observations and is a no-op: no WAL record (no `fdatasync` under
+/// `--fsync always`), no delta batch, no permutation merge, no re-freeze,
+/// and the cached selection still answers as a hit. A fresh header-only
+/// load still registers its empty table and logs it.
+#[test]
+fn empty_appends_are_a_no_op() {
+    let data_dir = scratch("empty-appends");
+    let config = ServerConfig {
+        data_dir: Some(data_dir.clone()),
+        fsync: FsyncPolicy::Always,
+        ..ServerConfig::default()
+    };
+    let handle = spawn(config).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    assert!(matches!(
+        client.request(&load_request()).unwrap(),
+        Response::Loaded { .. }
+    ));
+    let cold = client.query(SQL, &["bucket"], true).unwrap();
+    assert!(!cold.cache_hit);
+    let counters = |client: &mut Client| {
+        let stats = client.stats().unwrap();
+        (
+            stats.storage.wal_records,
+            stats.storage.fsyncs,
+            stats.incremental.delta_batches,
+            stats.incremental.permutation_merges,
+            stats.incremental.snapshots_refrozen,
+        )
+    };
+    let before = counters(&mut client);
+    assert_eq!(before.0, 1, "the fresh load is the only record");
+
+    let header_only = "worker,company,employees\n";
+    for csv in ["", header_only] {
+        let outcome = client.append_stream("companies", "worker", csv).unwrap();
+        assert_eq!(
+            (outcome.observations, outcome.refrozen, outcome.incremental),
+            (0, 0, true),
+            "append_stream of {csv:?}"
+        );
+        assert_eq!(outcome.entities, 3);
+    }
+    let Request::LoadCsv(mut append) = load_request() else {
+        unreachable!("load_request builds a load_csv")
+    };
+    append.append = true;
+    append.csv = header_only.to_string();
+    match client.request(&Request::LoadCsv(append)).unwrap() {
+        Response::Loaded {
+            observations,
+            entities,
+            ..
+        } => assert_eq!((observations, entities), (0, 3)),
+        other => panic!("load_csv append of a header: {}", other.encode()),
+    }
+    assert_eq!(
+        counters(&mut client),
+        before,
+        "an empty append moved a counter"
+    );
+    let hot = client.query(SQL, &["bucket"], true).unwrap();
+    assert!(hot.cache_hit, "the cached selection must survive as it was");
+    assert_eq!(
+        hot.single().expect("ungrouped").observed,
+        cold.single().expect("ungrouped").observed
+    );
+
+    let Request::LoadCsv(mut fresh) = load_request() else {
+        unreachable!("load_request builds a load_csv")
+    };
+    fresh.table = "empty_companies".to_string();
+    fresh.csv = header_only.to_string();
+    match client.request(&Request::LoadCsv(fresh)).unwrap() {
+        Response::Loaded {
+            observations,
+            entities,
+            ..
+        } => assert_eq!((observations, entities), (0, 0)),
+        other => panic!("fresh header-only load: {}", other.encode()),
+    }
+    assert_eq!(counters(&mut client).0, before.0 + 1, "a fresh load logs");
+    let empty = client
+        .query("SELECT COUNT(*) FROM empty_companies", &[], true)
+        .unwrap();
+    assert_eq!(empty.single().expect("ungrouped").observed, 0.0);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&data_dir);
+}

@@ -26,6 +26,7 @@ use uu_server::server::{spawn, ServerConfig};
 use uu_server::{Service, SessionCtx};
 
 const SQL: &str = "SELECT SUM(employees) FROM companies";
+const GROUPED_SQL: &str = "SELECT SUM(employees) FROM companies GROUP BY state";
 
 /// A synthetic observation log large enough that the instrumented stages
 /// (freeze, kernels, estimator fan-out) dominate the service time — the
@@ -72,69 +73,80 @@ fn stages(spans: &[WireSpan]) -> Vec<&str> {
 /// The `"trace": true` option returns the server-side span tree, and its
 /// direct children of the `request` umbrella span account for at least 90%
 /// of the reported service time — the acceptance bar for the span taxonomy
-/// actually tiling the query path.
+/// actually tiling the query path. Both query shapes are covered: each cold
+/// query runs the selection kernel exactly once and derives its sorted
+/// order in a `presorted_filter` span.
 #[test]
 fn traced_cold_query_returns_a_span_tree_covering_the_service_time() {
     let handle = spawn(ServerConfig::default()).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
     load_big(&mut client);
 
-    let cold = client
-        .query_traced(SQL, &["bucket", "naive"], true)
-        .unwrap();
-    assert!(!cold.cache_hit, "first traced query must be cold");
-    let spans = cold.trace.as_deref().expect("traced reply carries spans");
-    let names = stages(spans);
-    for required in [
-        "request",
-        "parse",
-        "cache_probe",
-        "bucket_partition",
-        "estimator_fanout",
-        "serialize",
-    ] {
-        assert!(
-            names.contains(&required),
-            "cold trace misses stage {required:?}: {names:?}"
-        );
-    }
-    // Every stage name on the wire is a registered taxonomy name.
-    for span in spans {
-        assert!(
-            Stage::parse_name(&span.stage).is_some(),
-            "unknown stage {:?} on the wire",
-            span.stage
-        );
-    }
-    // Parent links point backwards (spans arrive in start order).
-    for (i, span) in spans.iter().enumerate() {
-        if let Some(parent) = span.parent {
-            assert!((parent as usize) < i, "span {i} has forward parent link");
+    for sql in [SQL, GROUPED_SQL] {
+        let cold = client
+            .query_traced(sql, &["bucket", "naive"], true)
+            .unwrap();
+        assert!(!cold.cache_hit, "first traced {sql:?} must be cold");
+        let spans = cold.trace.as_deref().expect("traced reply carries spans");
+        let names = stages(spans);
+        for required in [
+            "request",
+            "parse",
+            "cache_probe",
+            "presorted_filter",
+            "bucket_partition",
+            "estimator_fanout",
+            "serialize",
+        ] {
+            assert!(
+                names.contains(&required),
+                "cold {sql:?} trace misses stage {required:?}: {names:?}"
+            );
         }
+        let kernels = names.iter().filter(|&&n| n == "selection_kernel").count();
+        assert_eq!(
+            kernels, 1,
+            "cold {sql:?} ran the selection kernel {kernels} times"
+        );
+        // Every stage name on the wire is a registered taxonomy name.
+        for span in spans {
+            assert!(
+                Stage::parse_name(&span.stage).is_some(),
+                "unknown stage {:?} on the wire",
+                span.stage
+            );
+        }
+        // Parent links point backwards (spans arrive in start order).
+        for (i, span) in spans.iter().enumerate() {
+            if let Some(parent) = span.parent {
+                assert!((parent as usize) < i, "span {i} has forward parent link");
+            }
+        }
+
+        let request_idx = spans
+            .iter()
+            .position(|s| s.stage == "request")
+            .expect("request umbrella span");
+        let child_sum_ns: u64 = spans
+            .iter()
+            .filter(|s| s.parent == Some(request_idx as u64))
+            .map(|s| s.dur_ns)
+            .sum();
+        let elapsed_ns = cold.elapsed_us * 1_000;
+        assert!(
+            child_sum_ns as f64 >= 0.90 * elapsed_ns as f64,
+            "{sql:?}: span tree accounts for {child_sum_ns}ns of {elapsed_ns}ns (<90%)"
+        );
+
+        // The hot path traces too.
+        let hot = client
+            .query_traced(sql, &["bucket", "naive"], true)
+            .unwrap();
+        assert!(hot.cache_hit);
+        let hot_spans = hot.trace.as_deref().expect("hot traced reply");
+        assert!(stages(hot_spans).contains(&"cache_probe"));
     }
-
-    let request_idx = spans
-        .iter()
-        .position(|s| s.stage == "request")
-        .expect("request umbrella span");
-    let child_sum_ns: u64 = spans
-        .iter()
-        .filter(|s| s.parent == Some(request_idx as u64))
-        .map(|s| s.dur_ns)
-        .sum();
-    let elapsed_ns = cold.elapsed_us * 1_000;
-    assert!(
-        child_sum_ns as f64 >= 0.90 * elapsed_ns as f64,
-        "span tree accounts for {child_sum_ns}ns of {elapsed_ns}ns (<90%)"
-    );
-
-    // The hot path traces too, and an untraced query stays trace-free.
-    let hot = client
-        .query_traced(SQL, &["bucket", "naive"], true)
-        .unwrap();
-    assert!(hot.cache_hit);
-    let hot_spans = hot.trace.as_deref().expect("hot traced reply");
-    assert!(stages(hot_spans).contains(&"cache_probe"));
+    // An untraced query stays trace-free.
     let untraced = client.query(SQL, &["bucket"], true).unwrap();
     assert!(untraced.trace.is_none(), "untraced reply must omit spans");
 
